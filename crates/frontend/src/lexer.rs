@@ -304,10 +304,15 @@ impl<'a> Lexer<'a> {
                 break;
             }
         }
+        // Parse the sign with the magnitude: `i64::MIN` has no positive
+        // counterpart.
+        if negative {
+            text.insert(0, '-');
+        }
         let value: i64 = text
             .parse()
             .map_err(|_| Error::parse(line, column, format!("integer `{text}` out of range")))?;
-        Ok(TokenKind::Int(if negative { -value } else { value }))
+        Ok(TokenKind::Int(value))
     }
 }
 
@@ -478,5 +483,14 @@ mod tests {
     #[test]
     fn huge_integer_is_rejected() {
         assert!(tokenize("p(99999999999999999999999)").is_err());
+    }
+
+    #[test]
+    fn integer_range_ends_are_accepted() {
+        assert_eq!(kinds("-9223372036854775808")[0], TokenKind::Int(i64::MIN));
+        assert_eq!(kinds("9223372036854775807")[0], TokenKind::Int(i64::MAX));
+        let err = tokenize("p(-9223372036854775809)").unwrap_err().to_string();
+        assert!(err.contains("`-9223372036854775809` out of range"), "{err}");
+        assert!(tokenize("p(9223372036854775808)").is_err());
     }
 }

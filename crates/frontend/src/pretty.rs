@@ -147,6 +147,15 @@ mod tests {
     }
 
     #[test]
+    fn integer_range_ends_round_trip() {
+        let src = "p(X) :- q(X, -9223372036854775808, 9223372036854775807).";
+        let first = parse_program(&format!("{src}\nq(1, -9223372036854775808, 0).")).unwrap();
+        let rendered = program(&first.program);
+        assert_eq!(rendered, src);
+        assert_eq!(program(&parse_program(&rendered).unwrap().program), rendered);
+    }
+
+    #[test]
     fn round_trips_through_parser() {
         let src = "t(X, Y) :- s(X, Y).\nt(X, Y) :- t(X, Z), e(Z, Y, -3).";
         let first = parse_program(src).unwrap();
