@@ -543,7 +543,9 @@ mod tests {
         // checker: this pins the checker to the producer's key set, so a
         // schema drift on either side fails here rather than in CI.
         use gst_common::hist::Histogram;
-        use gst_runtime::{PhaseTotals, ProfileReport, TimeBase, WorkerProfile};
+        use gst_runtime::{
+            ExecutionOutcome, Journal, PhaseTotals, ProfileReport, TimeBase, WorkerProfile,
+        };
 
         let profile_for = |w: u64| {
             let phases =
@@ -601,7 +603,12 @@ mod tests {
             relay_bytes: 0,
             wall_time: std::time::Duration::ZERO,
         };
-        let report = ProfileReport::build(&stats, TimeBase::VirtualTicks)
+        let outcome = ExecutionOutcome {
+            relations: Default::default(),
+            stats,
+            journal: Journal { base: TimeBase::VirtualTicks, events: Vec::new() },
+        };
+        let report = ProfileReport::build(&outcome)
             .expect("profiles present");
         let summary = check_profile_json(&report.to_json()).unwrap();
         assert_eq!(summary.workers, 2);

@@ -12,10 +12,9 @@ use gst_runtime::{FaultPlan, RuntimeConfig};
 use gst_workloads::{linear_ancestor, random_digraph};
 
 fn traced_config() -> RuntimeConfig {
-    RuntimeConfig {
-        trace: true,
-        ..RuntimeConfig::default()
-    }
+    let mut config = RuntimeConfig::default();
+    config.worker.profile = true;
+    config
 }
 
 #[test]

@@ -61,9 +61,6 @@ pub struct RuntimeConfig {
     pub worker: WorkerConfig,
     /// Crash-recovery knobs (restart budget, backoff, fail-point).
     pub supervisor: SupervisorConfig,
-    /// Record the event journal ([`crate::obs`]). Off by default: workers
-    /// then carry disabled sinks and pay one branch per would-be event.
-    pub trace: bool,
 }
 
 /// Execute one [`WorkerSpec`] per processor on OS threads and pool the

@@ -57,7 +57,7 @@ pub use net::{
     run_net_worker, ConstraintDecoderFn, InProcessLauncher, KillSpec, Launcher, NetConfig,
     NetCoordinator, NetFault, NetFaultPlan, NetWorkerArgs, ProcessLauncher,
 };
-pub use obs::{Journal, ObsEvent, ObsKind, TimeBase, TraceSink};
+pub use obs::{Journal, ObsEvent, ObsKind, TimeBase};
 pub use profile::{
     HotRule, IdleGap, PhaseTotals, ProfileReport, RoundCost, WorkerProfile, PHASES,
 };

@@ -57,7 +57,7 @@ use gst_frontend::ast::ConstraintRef;
 
 use crate::coordinator::RuntimeConfig;
 use crate::message::{Envelope, Message};
-use crate::obs::{ObsEvent, ObsKind, TimeBase};
+use crate::obs::{ObsEvent, ObsKind, Probe, TimeBase};
 use crate::spec::WorkerSpec;
 use crate::stats::ExecutionOutcome;
 use crate::transport::{assemble_outcome, validate_specs, Transport, WorkerResult};
@@ -622,10 +622,11 @@ pub fn run_net_worker(args: &NetWorkerArgs, decoder: Option<ConstraintDecoderFn>
     };
     core.set_morsel_threads(worker_cfg.morsel_threads);
     if worker_cfg.profile {
-        // Per-process wall clock: the profile carries durations only, so
-        // worker-local origins are fine — the coordinator merges the
+        // Per-process wall clock: the worker folds its events into a
+        // profile before shipping and the profile carries durations only,
+        // so a worker-local origin is fine — the coordinator merges the
         // shipped profiles, never compares absolute stamps.
-        core.set_profiler(crate::profile::Profiler::wall(), gst_eval::TimeMode::Wall);
+        core.set_probe(Probe::wall(core.id(), Instant::now()));
     }
     if let Some(recover) = job.recover {
         // Absorbed before any engine step (and before any stashed
@@ -1229,7 +1230,7 @@ impl Supervisor<'_> {
         self.restarts_used[index] += 1;
         self.total_restarts += 1;
         self.epoch += 1;
-        if self.config.trace {
+        if self.config.worker.profile {
             let now = self.started.elapsed().as_micros() as u64;
             self.transport_events.push(ObsEvent {
                 time: now,
@@ -1620,7 +1621,8 @@ mod tests {
     fn traced_recovery_journals_crash_and_restart() {
         let interner = Interner::new();
         let (specs, _) = chain_fleet(&interner, 12);
-        let config = RuntimeConfig { trace: true, ..RuntimeConfig::default() };
+        let mut config = RuntimeConfig::default();
+        config.worker.profile = true;
         let coord = coordinator(InProcessLauncher::default())
             .with_faults(NetFaultPlan::parse("1:disconnect@150").unwrap());
         let outcome = coord.execute(specs, &config).unwrap();

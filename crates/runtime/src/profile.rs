@@ -14,17 +14,20 @@
 //! * `idle` — gaps between steps while the worker was passive
 //!   (termination/barrier wait).
 //!
-//! Times are stamped in the journal's [`TimeBase`]: wall-clock
-//! microseconds on the threaded and TCP transports, and deterministic
-//! *work proxies* under the simulator's virtual clock (firings for
-//! compute, payload bytes for encode, tuples for decode, messages for
-//! replay, virtual-tick gaps for idle) — so a simulated profile is
-//! bit-identical across same-seed reruns while still ranking the same
-//! hot spots. Distribution shape is captured in mergeable log-bucketed
-//! [`Histogram`]s (round latency, per-batch encode/decode time, batch
-//! bytes, morsel chunk service time); TCP workers ship their profile in
-//! the RESULT frame and the coordinator merges, so `--net` runs report
-//! the same profile shape as in-process ones.
+//! A profile is not recorded on its own: it is a fold
+//! ([`WorkerProfile::fold`]) over the worker's journal events
+//! ([`crate::obs`]), where every timed site emits one event carrying the
+//! round it is charged to and its cost. Costs are in the journal's
+//! [`TimeBase`]: wall-clock microseconds on the threaded and TCP
+//! transports, and deterministic *work proxies* under the simulator's
+//! virtual clock (firings for compute, payload bytes for encode, tuples
+//! for decode, messages for replay, virtual-tick gaps for idle) — so a
+//! simulated profile is bit-identical across same-seed reruns while still
+//! ranking the same hot spots. Distribution shape is captured in mergeable
+//! log-bucketed [`Histogram`]s (round latency, per-batch encode/decode
+//! time, batch bytes, morsel chunk service time); TCP workers fold before
+//! shipping their profile in the RESULT frame and the coordinator merges,
+//! so `--net` runs report the same profile shape as in-process ones.
 //!
 //! [`ProfileReport::build`] is the analyzer: per-round critical path
 //! (straggler worker and its dominant phase), the §6 comm/compute
@@ -32,12 +35,10 @@
 //! idle-gap detection. Renderers export a human report, a machine
 //! schema (JSON), and a Prometheus-style text exposition.
 
-use std::time::Instant;
-
 pub use gst_common::{Histogram, HIST_BUCKETS};
 
-use crate::obs::TimeBase;
-use crate::stats::ParallelStats;
+use crate::obs::{ObsEvent, ObsKind, TimeBase};
+use crate::stats::ExecutionOutcome;
 
 /// The five phases a worker's time is attributed to.
 pub const PHASES: [&str; 5] = ["compute", "encode", "decode", "replay", "idle"];
@@ -141,8 +142,38 @@ impl WorkerProfile {
         }
     }
 
+    /// Fold one incarnation's journal events into its profile. Each timed
+    /// site's event carries the round it is charged to and its cost;
+    /// every other event carries no cost and is skipped.
+    pub fn fold(events: &[ObsEvent]) -> WorkerProfile {
+        let mut p = WorkerProfile::default();
+        for e in events {
+            match e.kind {
+                ObsKind::Bootstrapped { cost, .. } => p.add(0, cost, |t| &mut t.compute),
+                ObsKind::RoundEnd { round, cost, .. } => {
+                    p.add(round, cost, |t| &mut t.compute);
+                    p.round_latency.record(cost);
+                }
+                ObsKind::BatchEncoded { round, bytes, cost, .. } => {
+                    p.add(round, cost, |t| &mut t.encode);
+                    p.encode_time.record(cost);
+                    p.batch_bytes.record(bytes);
+                }
+                ObsKind::Decoded { round, cost, .. } => {
+                    p.add(round, cost, |t| &mut t.decode);
+                    p.decode_time.record(cost);
+                }
+                ObsKind::ReplaySent { round, cost, .. } => p.add(round, cost, |t| &mut t.replay),
+                ObsKind::Woke { round, idle } => p.add(round, idle, |t| &mut t.idle),
+                _ => {}
+            }
+        }
+        p
+    }
+
     /// Accumulate `d` units of `phase` against `round`.
-    fn add(&mut self, phase: usize, round: u64, d: u64) {
+    fn add(&mut self, round: u64, d: u64, phase: fn(&mut PhaseTotals) -> &mut u64) {
+        *phase(&mut self.phases) += d;
         let slot = match self.per_round.last_mut() {
             Some((r, totals)) if *r == round => totals,
             Some((r, _)) if *r > round => {
@@ -161,137 +192,7 @@ impl WorkerProfile {
                 &mut self.per_round.last_mut().expect("just pushed").1
             }
         };
-        match phase {
-            0 => slot.compute += d,
-            1 => slot.encode += d,
-            2 => slot.decode += d,
-            3 => slot.replay += d,
-            _ => slot.idle += d,
-        }
-        match phase {
-            0 => self.phases.compute += d,
-            1 => self.phases.encode += d,
-            2 => self.phases.decode += d,
-            3 => self.phases.replay += d,
-            _ => self.phases.idle += d,
-        }
-    }
-}
-
-/// Phase indices for [`Profiler`] call sites (match [`PHASES`] order).
-pub(crate) const PHASE_COMPUTE: usize = 0;
-/// See [`PHASE_COMPUTE`].
-pub(crate) const PHASE_ENCODE: usize = 1;
-/// See [`PHASE_COMPUTE`].
-pub(crate) const PHASE_DECODE: usize = 2;
-/// See [`PHASE_COMPUTE`].
-pub(crate) const PHASE_REPLAY: usize = 3;
-/// See [`PHASE_COMPUTE`].
-pub(crate) const PHASE_IDLE: usize = 4;
-
-/// The clock a profiler stamps durations with.
-#[derive(Debug, Clone)]
-enum ProfClock {
-    /// Wall time: durations are measured with `Instant` and recorded as
-    /// microseconds.
-    Wall,
-    /// Virtual time: durations are the caller-supplied deterministic
-    /// work proxies; idle gaps are virtual-tick deltas pushed in via
-    /// [`Profiler::set_now`].
-    Ticks { now: u64 },
-}
-
-/// Timestamp of the previous step's end, in the profiler's clock.
-#[derive(Debug, Clone)]
-enum ProfStamp {
-    Wall(Instant),
-    Ticks(u64),
-}
-
-/// Per-worker phase accounting state. Owned by a `WorkerCore` as an
-/// `Option<Box<Profiler>>`: when profiling is off every call site is one
-/// `Option` branch, the same zero-overhead pattern as
-/// [`crate::obs::TraceSink`].
-#[derive(Debug, Clone)]
-pub(crate) struct Profiler {
-    clock: ProfClock,
-    /// The profile under construction.
-    pub(crate) profile: WorkerProfile,
-    /// When the previous step ended — the base of the next idle gap.
-    last_step_end: Option<ProfStamp>,
-}
-
-impl Profiler {
-    /// A wall-clock profiler (threaded and TCP transports): durations in
-    /// microseconds.
-    pub(crate) fn wall() -> Self {
-        Profiler {
-            clock: ProfClock::Wall,
-            profile: WorkerProfile::default(),
-            last_step_end: None,
-        }
-    }
-
-    /// A virtual-clock profiler (simulation): durations are
-    /// deterministic work proxies, idle gaps are tick deltas.
-    pub(crate) fn ticks() -> Self {
-        Profiler {
-            clock: ProfClock::Ticks { now: 0 },
-            profile: WorkerProfile::default(),
-            last_step_end: None,
-        }
-    }
-
-    /// Push the simulator's virtual clock (no-op under wall time).
-    pub(crate) fn set_now(&mut self, t: u64) {
-        if let ProfClock::Ticks { now } = &mut self.clock {
-            *now = t;
-        }
-    }
-
-    /// Begin timing a phase: captures `Instant::now()` under wall time,
-    /// nothing under ticks (the proxy passed to [`Profiler::stop`] is the
-    /// duration there).
-    pub(crate) fn start(&self) -> Option<Instant> {
-        match self.clock {
-            ProfClock::Wall => Some(Instant::now()),
-            ProfClock::Ticks { .. } => None,
-        }
-    }
-
-    /// Finish timing: elapsed microseconds under wall time, the
-    /// deterministic `proxy` under ticks.
-    pub(crate) fn stop(&self, t0: Option<Instant>, proxy: u64) -> u64 {
-        match self.clock {
-            ProfClock::Wall => t0.map_or(0, |t| t.elapsed().as_micros() as u64),
-            ProfClock::Ticks { .. } => proxy,
-        }
-    }
-
-    /// Accumulate `d` units of `phase` against `round`.
-    pub(crate) fn add(&mut self, phase: usize, round: u64, d: u64) {
-        self.profile.add(phase, round, d);
-    }
-
-    /// The previous step ended and this one starts while the worker was
-    /// idle: the gap between them is barrier/termination wait.
-    pub(crate) fn idle_gap(&mut self, round: u64) {
-        let gap = match (&self.clock, &self.last_step_end) {
-            (ProfClock::Wall, Some(ProfStamp::Wall(t))) => t.elapsed().as_micros() as u64,
-            (ProfClock::Ticks { now }, Some(ProfStamp::Ticks(t))) => now.saturating_sub(*t),
-            _ => 0,
-        };
-        if gap > 0 {
-            self.profile.add(PHASE_IDLE, round, gap);
-        }
-    }
-
-    /// Stamp the end of a step (the base of a possible idle gap).
-    pub(crate) fn step_end(&mut self) {
-        self.last_step_end = Some(match self.clock {
-            ProfClock::Wall => ProfStamp::Wall(Instant::now()),
-            ProfClock::Ticks { now } => ProfStamp::Ticks(now),
-        });
+        *phase(slot) += d;
     }
 }
 
@@ -372,9 +273,10 @@ pub struct ProfileReport {
 const TOP_K: usize = 10;
 
 impl ProfileReport {
-    /// Analyze a finished run. Returns `None` when no worker carried a
-    /// profile (profiling was off).
-    pub fn build(stats: &ParallelStats, base: TimeBase) -> Option<ProfileReport> {
+    /// Analyze a finished run, in the time base of the run's clock.
+    /// Returns `None` when no worker carried a profile (profiling was off).
+    pub fn build(outcome: &ExecutionOutcome) -> Option<ProfileReport> {
+        let (stats, base) = (&outcome.stats, outcome.journal.base);
         let workers: Vec<(usize, WorkerProfile)> = stats
             .workers
             .iter()
@@ -829,6 +731,7 @@ impl ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::Probe;
 
     fn totals(compute: u64, encode: u64, decode: u64, replay: u64, idle: u64) -> PhaseTotals {
         PhaseTotals {
@@ -850,10 +753,10 @@ mod tests {
     #[test]
     fn profile_add_attributes_phases_per_round() {
         let mut p = WorkerProfile::default();
-        p.add(PHASE_COMPUTE, 1, 10);
-        p.add(PHASE_ENCODE, 1, 3);
-        p.add(PHASE_COMPUTE, 2, 5);
-        p.add(PHASE_REPLAY, 1, 2); // out-of-order: folds into round 1
+        p.add(1, 10, |t| &mut t.compute);
+        p.add(1, 3, |t| &mut t.encode);
+        p.add(2, 5, |t| &mut t.compute);
+        p.add(1, 2, |t| &mut t.replay); // out-of-order: folds into round 1
         assert_eq!(p.phases.compute, 15);
         assert_eq!(p.phases.encode, 3);
         assert_eq!(p.phases.replay, 2);
@@ -865,12 +768,12 @@ mod tests {
     #[test]
     fn profile_merge_combines_rounds_by_key() {
         let mut a = WorkerProfile::default();
-        a.add(PHASE_COMPUTE, 0, 4);
-        a.add(PHASE_IDLE, 2, 9);
+        a.add(0, 4, |t| &mut t.compute);
+        a.add(2, 9, |t| &mut t.idle);
         a.round_latency.record(4);
         let mut b = WorkerProfile::default();
-        b.add(PHASE_COMPUTE, 0, 6);
-        b.add(PHASE_DECODE, 1, 2);
+        b.add(0, 6, |t| &mut t.compute);
+        b.add(1, 2, |t| &mut t.decode);
         b.round_latency.record(6);
         let mut ab = a.clone();
         ab.merge(&b);
@@ -888,46 +791,54 @@ mod tests {
     #[test]
     fn ticks_profiler_is_deterministic() {
         let build = || {
-            let mut p = Profiler::ticks();
+            let mut p = Probe::virtual_clock(0);
             p.set_now(10);
-            let t0 = p.start();
-            assert!(t0.is_none(), "ticks mode never reads the wall clock");
-            let d = p.stop(t0, 42);
-            p.add(PHASE_COMPUTE, 0, d);
+            let t0 = p.now();
+            p.emit(ObsKind::RoundEnd { round: 0, fresh: 1, firings: 42, cost: p.cost(t0, 42) });
             p.step_end();
             p.set_now(25);
-            p.idle_gap(1);
-            p.profile
+            p.wake(1);
+            WorkerProfile::fold(&p.take_events())
         };
         let a = build();
         let b = build();
         assert_eq!(a, b);
         assert_eq!(a.phases.compute, 42);
         assert_eq!(a.phases.idle, 15);
+        assert_eq!(a.round_latency.count, 1);
     }
 
     #[test]
     fn wall_profiler_measures_nonnegative_micros() {
-        let mut p = Profiler::wall();
-        let t0 = p.start();
-        assert!(t0.is_some());
-        let d = p.stop(t0, 999);
+        let mut p = Probe::wall(0, std::time::Instant::now());
+        let t0 = p.now();
+        let d = p.cost(t0, 999);
         assert_ne!(d, 999, "wall mode ignores the proxy (elapsed ~0us)");
-        p.add(PHASE_ENCODE, 0, d);
+        p.emit(ObsKind::BatchEncoded {
+            channel: 0,
+            tuples: 1,
+            bytes: 8,
+            raw_bytes: 16,
+            round: 0,
+            cost: d,
+        });
         p.step_end();
-        p.idle_gap(0); // gap measured from step_end; tiny but valid
+        p.wake(0); // gap measured from step_end; tiny but valid
+        let profile = WorkerProfile::fold(&p.take_events());
+        assert_eq!(profile.encode_time.count, 1);
+        assert_eq!(profile.batch_bytes.sum, 8, "batch bytes are bytes on every clock");
     }
 
     #[test]
     fn report_json_is_well_formed_and_deterministic() {
         let mut p0 = WorkerProfile::default();
-        p0.add(PHASE_COMPUTE, 0, 100);
-        p0.add(PHASE_IDLE, 1, 30);
+        p0.add(0, 100, |t| &mut t.compute);
+        p0.add(1, 30, |t| &mut t.idle);
         p0.round_latency.record(100);
         p0.batch_bytes.record(64);
         let mut p1 = WorkerProfile::default();
-        p1.add(PHASE_COMPUTE, 0, 40);
-        p1.add(PHASE_ENCODE, 0, 10);
+        p1.add(0, 40, |t| &mut t.compute);
+        p1.add(0, 10, |t| &mut t.encode);
         p1.round_latency.record(40);
 
         let report = ProfileReport {

@@ -230,8 +230,9 @@ pub struct ExecutionOutcome {
     pub relations: FxHashMap<RelationId, Relation>,
     /// Measurements.
     pub stats: ParallelStats,
-    /// The merged event journal — empty unless the run was traced
-    /// ([`crate::coordinator::RuntimeConfig::trace`]).
+    /// The merged event journal — empty unless the run was profiled
+    /// ([`crate::worker::WorkerConfig::profile`]). Its time base is the
+    /// run's clock either way.
     pub journal: Journal,
 }
 

@@ -44,7 +44,7 @@ use gst_storage::Relation;
 
 use crate::coordinator::RuntimeConfig;
 use crate::message::{Envelope, Message};
-use crate::obs::{Journal, ObsEvent, ObsKind, TimeBase, TraceSink};
+use crate::obs::{Journal, ObsEvent, ObsKind, Probe, TimeBase};
 use crate::spec::WorkerSpec;
 use crate::stats::{ExecutionOutcome, ParallelStats, WorkerReport};
 use crate::worker::{finish_core, watchdog_error, Outbox, PooledRelations, Step, WorkerCore};
@@ -332,7 +332,7 @@ fn run_threaded(
     config: RuntimeConfig,
     epoch: u64,
     fail_after: Option<u64>,
-    trace_origin: Option<Instant>,
+    origin: Instant,
 ) -> WorkerExit {
     let n = senders.len();
     let mut core = match WorkerCore::with_epoch(spec, n, epoch) {
@@ -340,12 +340,9 @@ fn run_threaded(
         Err(e) => return WorkerExit::Fatal(e),
     };
     core.set_morsel_threads(config.worker.morsel_threads);
-    if let Some(origin) = trace_origin {
-        // All sinks share the run's origin so the tracks line up.
-        core.set_sink(TraceSink::wall(core.id(), origin));
-    }
     if config.worker.profile {
-        core.set_profiler(crate::profile::Profiler::wall(), gst_eval::TimeMode::Wall);
+        // All probes share the run's origin so the tracks line up.
+        core.set_probe(Probe::wall(core.id(), origin));
     }
     let mut out = ThreadOutbox { senders };
     let mut idle_since: Option<Instant> = None;
@@ -402,12 +399,10 @@ impl Transport for ThreadedTransport {
     fn execute(&self, specs: Vec<WorkerSpec>, config: &RuntimeConfig) -> Result<ExecutionOutcome> {
         validate_specs(&specs)?;
         // A silent network needs none of the machinery below. Keep the
-        // full path when tracing (the journal wants round/termination
-        // events), when profiling (phase attribution lives in the worker
-        // state machine), or when a fail-point asks for supervised
-        // crashes.
+        // full path when profiling (the journal and its phase fold live in
+        // the worker state machine) or when a fail-point asks for
+        // supervised crashes.
         if network_is_silent(&specs)
-            && !config.trace
             && !config.worker.profile
             && config.supervisor.fail_point.is_none()
         {
@@ -428,7 +423,6 @@ impl Transport for ThreadedTransport {
         let (exit_tx, exit_rx) = channel::<(usize, WorkerExit)>();
 
         let started = Instant::now();
-        let trace_origin = config.trace.then_some(started);
         let (results, total_restarts, first_error, transport_events) =
             std::thread::scope(|scope| {
             let spawn_worker =
@@ -439,7 +433,7 @@ impl Transport for ThreadedTransport {
                     let exit_tx = exit_tx.clone();
                     scope.spawn(move || {
                         let exit = catch_unwind(AssertUnwindSafe(|| {
-                            run_threaded(spec, registry, rx, config, epoch, fail_after, trace_origin)
+                            run_threaded(spec, registry, rx, config, epoch, fail_after, started)
                         }))
                         .unwrap_or_else(|payload| {
                             WorkerExit::Recoverable(Error::Runtime(format!(
@@ -491,7 +485,7 @@ impl Transport for ThreadedTransport {
                         restarts_used[id] += 1;
                         total_restarts += 1;
                         epoch += 1;
-                        if config.trace {
+                        if config.worker.profile {
                             let now = started.elapsed().as_micros() as u64;
                             transport_events.push(ObsEvent {
                                 time: now,
@@ -627,7 +621,7 @@ mod tests {
 
     /// The zero-communication fast path computes the same least model and
     /// the same stats shape as the full machinery (forced here via
-    /// tracing), on the same silent spec.
+    /// profiling), on the same silent spec.
     #[test]
     fn silent_fast_path_matches_full_machinery() {
         let interner = Interner::new();
@@ -637,11 +631,9 @@ mod tests {
         let fast = ThreadedTransport
             .execute(vec![spec.clone()], &RuntimeConfig::default())
             .unwrap();
-        let traced_cfg = RuntimeConfig {
-            trace: true,
-            ..Default::default()
-        };
-        let full = ThreadedTransport.execute(vec![spec], &traced_cfg).unwrap();
+        let mut profiled_cfg = RuntimeConfig::default();
+        profiled_cfg.worker.profile = true;
+        let full = ThreadedTransport.execute(vec![spec], &profiled_cfg).unwrap();
 
         assert!(fast.relation(answer).set_eq(&full.relation(answer)));
         assert_eq!(fast.relation(answer).len(), 5 + 4 + 3 + 2 + 1);
@@ -656,7 +648,7 @@ mod tests {
         assert_eq!(fast.stats.workers[0].encode_calls, 0, "nothing encoded");
         assert!(
             fast.journal.is_empty(),
-            "the fast path records no journal; tracing keeps the full path"
+            "the fast path records no journal; profiling keeps the full path"
         );
         assert!(!full.journal.is_empty());
     }

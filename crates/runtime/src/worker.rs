@@ -36,8 +36,8 @@ use gst_eval::plan::RelationId;
 use gst_eval::FixpointEngine;
 
 use crate::message::{Envelope, Message, Payload};
-use crate::obs::{ObsEvent, ObsKind, TraceSink};
-use crate::profile::{Profiler, PHASE_COMPUTE, PHASE_DECODE, PHASE_ENCODE, PHASE_REPLAY};
+use crate::obs::{ObsEvent, ObsKind, Probe};
+use crate::profile::WorkerProfile;
 use crate::spec::WorkerSpec;
 use crate::stats::WorkerReport;
 use crate::termination::{Safra, TokenAction, TokenMsg};
@@ -58,9 +58,10 @@ pub struct WorkerConfig {
     /// fan a large semi-naive delta across. 1 (the default) keeps the
     /// engine strictly sequential.
     pub morsel_threads: usize,
-    /// Phase-attributed profiling: account every step's time to
-    /// compute/encode/decode/replay/idle and record latency histograms.
-    /// Off (the default) costs one `Option` branch per phase site.
+    /// Observability: each worker records its event journal and folds it
+    /// into a phase profile (compute/encode/decode/replay/idle and latency
+    /// histograms). Off (the default) costs one `Option` branch per
+    /// instrumented site.
     pub profile: bool,
 }
 
@@ -263,10 +264,8 @@ pub(crate) struct WorkerCore {
     /// Channel tuples shipped per engine round, `(round, tuples)` —
     /// sparse: rounds that shipped nothing have no entry.
     sent_per_round: Vec<(u64, u64)>,
-    /// Event journal buffer; disabled (free) unless tracing is on.
-    sink: TraceSink,
-    /// Phase-attributed profiler; `None` (free) unless profiling is on.
-    prof: Option<Box<Profiler>>,
+    /// Event journal and clock; `None` (free) unless profiling is on.
+    probe: Option<Box<Probe>>,
     /// True while the previous step reported `Idle` — the idle-wait event
     /// fires on the transition, not on every 1 ms poll.
     was_idle: bool,
@@ -343,16 +342,9 @@ impl WorkerCore {
             retract_tuples_received: 0,
             busy: Duration::ZERO,
             sent_per_round: Vec::new(),
-            sink: TraceSink::disabled(),
-            prof: None,
+            probe: None,
             was_idle: false,
         })
-    }
-
-    /// Install an event sink (tracing on). The transport decides the
-    /// clock: wall-origin for threads, virtual for the simulator.
-    pub(crate) fn set_sink(&mut self, sink: TraceSink) {
-        self.sink = sink;
     }
 
     /// Apply the transport's [`WorkerConfig::morsel_threads`] knob to this
@@ -364,29 +356,32 @@ impl WorkerCore {
             .set_morsels(gst_eval::MorselConfig::with_threads(threads));
     }
 
-    /// Install a phase profiler (profiling on). The transport decides the
-    /// clock, exactly as for [`set_sink`]: wall time for threads and TCP,
-    /// virtual ticks for the simulator. Also switches the engine into the
-    /// matching per-rule time accounting mode.
-    ///
-    /// [`set_sink`]: WorkerCore::set_sink
-    pub(crate) fn set_profiler(&mut self, prof: Profiler, mode: gst_eval::TimeMode) {
-        self.engine.set_time_mode(mode);
-        self.prof = Some(Box::new(prof));
+    /// Install a probe (profiling on). The transport decides the clock:
+    /// wall time for threads and TCP, virtual ticks for the simulator. The
+    /// engine's per-rule time accounting follows the same clock.
+    pub(crate) fn set_probe(&mut self, probe: Probe) {
+        self.engine.set_time_mode(probe.time_mode());
+        self.probe = Some(Box::new(probe));
     }
 
-    /// Push the simulator's virtual clock into the sink and profiler
-    /// (no-op for disabled or wall-clock sinks).
-    pub(crate) fn set_trace_now(&mut self, now: u64) {
-        self.sink.set_virtual_now(now);
-        if let Some(p) = self.prof.as_mut() {
+    /// Push the simulator's virtual clock into the probe (no-op without a
+    /// probe or on a wall clock).
+    pub(crate) fn set_virtual_now(&mut self, now: u64) {
+        if let Some(p) = self.probe.as_mut() {
             p.set_now(now);
         }
     }
 
     /// Drain this incarnation's journal buffer.
-    pub(crate) fn take_trace_events(&mut self) -> Vec<ObsEvent> {
-        self.sink.take_events()
+    pub(crate) fn take_events(&mut self) -> Vec<ObsEvent> {
+        self.probe.as_mut().map(|p| p.take_events()).unwrap_or_default()
+    }
+
+    /// Journal an untimed event (no-op without a probe).
+    fn emit(&mut self, kind: ObsKind) {
+        if let Some(p) = self.probe.as_mut() {
+            p.emit(kind);
+        }
     }
 
     pub(crate) fn id(&self) -> usize {
@@ -407,35 +402,25 @@ impl WorkerCore {
     /// One scheduling quantum: absorb everything pending, then do at most
     /// one unit of work (an engine round, or token handling when passive).
     pub(crate) fn step(&mut self, out: &mut dyn Outbox) -> Result<Step> {
-        if self.prof.is_some() && self.was_idle {
+        if let Some(p) = self.probe.as_mut().filter(|_| self.was_idle) {
             // The gap since the previous step's end was spent waiting for
             // messages or the termination probe: idle time.
-            let round = self.engine.stats().rounds;
-            if let Some(p) = self.prof.as_mut() {
-                p.idle_gap(round);
-            }
+            p.wake(self.engine.stats().rounds);
         }
         let t0 = std::time::Instant::now();
         let result = self.step_inner(out);
         self.busy += t0.elapsed();
-        if let Some(p) = self.prof.as_mut() {
+        let idle = matches!(result, Ok(Step::Idle));
+        if let Some(p) = self.probe.as_mut() {
             p.step_end();
-        }
-        if self.sink.enabled() {
             // Journal the *transition* into idleness: the threaded
             // transport re-polls an idle worker every `idle_poll`, and one
             // event per wait beats one per poll.
-            if matches!(result, Ok(Step::Idle)) {
-                if !self.was_idle {
-                    self.was_idle = true;
-                    self.sink.emit(ObsKind::IdleWait);
-                }
-            } else {
-                self.was_idle = false;
+            if idle && !self.was_idle {
+                p.emit(ObsKind::IdleWait);
             }
-        } else {
-            self.was_idle = matches!(result, Ok(Step::Idle));
         }
+        self.was_idle = idle;
         result
     }
 
@@ -445,14 +430,13 @@ impl WorkerCore {
         }
         if !self.bootstrapped {
             self.bootstrapped = true;
-            let t0 = self.prof.as_ref().map(|p| (p.start(), self.engine.stats().firings));
+            let firings_before = self.engine.stats().firings;
+            let t0 = self.probe.as_ref().map(|p| p.now());
             self.engine.bootstrap()?;
-            if let Some((t0, firings_before)) = t0 {
+            if let (Some(p), Some(t0)) = (self.probe.as_mut(), t0) {
                 let firings = self.engine.stats().firings - firings_before;
-                if let Some(p) = self.prof.as_mut() {
-                    let d = p.stop(t0, firings);
-                    p.add(PHASE_COMPUTE, 0, d);
-                }
+                let cost = p.cost(t0, firings);
+                p.emit(ObsKind::Bootstrapped { firings, cost });
             }
         }
 
@@ -467,16 +451,12 @@ impl WorkerCore {
 
         // Coalesced receive: one decode-and-inject pass per inbox over
         // everything stashed since the last engine step.
-        let t0 = (self.prof.is_some() && self.stash_count > 0)
-            .then(|| self.prof.as_ref().expect("checked").start());
-        let decoded = self.drain_stash()?;
-        if let Some(t0) = t0 {
+        let t0 = self.probe.as_ref().filter(|_| self.stash_count > 0).map(|p| p.now());
+        let tuples = self.drain_stash()?;
+        if let (Some(p), Some(t0)) = (self.probe.as_mut(), t0) {
             let round = self.engine.stats().rounds;
-            if let Some(p) = self.prof.as_mut() {
-                let d = p.stop(t0, decoded);
-                p.add(PHASE_DECODE, round, d);
-                p.profile.decode_time.record(d);
-            }
+            let cost = p.cost(t0, tuples);
+            p.emit(ObsKind::Decoded { round, tuples, cost });
         }
 
         // Processing step: one engine round.
@@ -485,25 +465,16 @@ impl WorkerCore {
             // `advance` already closed the round in the stats, so the
             // round that is now processing is `rounds - 1`.
             let round = self.engine.stats().rounds - 1;
-            let observing = self.sink.enabled() || self.prof.is_some();
-            let firings_before = if observing { self.engine.stats().firings } else { 0 };
-            let t0 = self.prof.as_ref().map(|p| p.start());
-            if self.sink.enabled() {
-                self.sink.emit(ObsKind::RoundBegin { round });
-            }
+            let firings_before = self.engine.stats().firings;
+            let t0 = self.probe.as_mut().map(|p| {
+                p.emit(ObsKind::RoundBegin { round });
+                p.now()
+            });
             self.engine.process_round();
-            if observing {
+            if let (Some(p), Some(t0)) = (self.probe.as_mut(), t0) {
                 let firings = self.engine.stats().firings - firings_before;
-                if self.sink.enabled() {
-                    self.sink.emit(ObsKind::RoundEnd { round, fresh, firings });
-                }
-                if let Some(t0) = t0 {
-                    if let Some(p) = self.prof.as_mut() {
-                        let d = p.stop(t0, firings);
-                        p.add(PHASE_COMPUTE, round, d);
-                        p.profile.round_latency.record(d);
-                    }
-                }
+                let cost = p.cost(t0, firings);
+                p.emit(ObsKind::RoundEnd { round, fresh, firings, cost });
             }
             return Ok(Step::Worked);
         }
@@ -570,7 +541,7 @@ impl WorkerCore {
                 self.terminated = true;
                 // Global termination: replay logs are no longer needed.
                 self.replay.iter_mut().for_each(ReplayLog::clear);
-                self.sink.emit(ObsKind::Terminated);
+                self.emit(ObsKind::Terminated);
                 Ok(())
             }
             Message::AckSync { acked } => self.replay_link(env.from, acked, out),
@@ -599,7 +570,7 @@ impl WorkerCore {
         }
         self.epoch = epoch;
         self.recover_handled = true;
-        self.sink.emit(ObsKind::EpochRepair { epoch });
+        self.emit(ObsKind::EpochRepair { epoch });
         self.safra.on_recover(epoch);
         if self.held_token.take().is_some() {
             self.stale_dropped += 1;
@@ -635,7 +606,7 @@ impl WorkerCore {
     /// already shipped in the current epoch are skipped: their original
     /// send was counted post-recovery and the transport delivers it.
     fn replay_link(&mut self, to: usize, acked: u64, out: &mut dyn Outbox) -> Result<()> {
-        let t0 = self.prof.as_ref().map(|p| p.start());
+        let t0 = self.probe.as_ref().map(|p| p.now());
         self.replay[to].truncate_to(acked)?;
         let replayed_before = self.replayed_batches;
         let base = self.replay[to].base;
@@ -674,15 +645,10 @@ impl WorkerCore {
             out.send(to, env)?;
         }
         let messages = self.replayed_batches - replayed_before;
-        if messages > 0 {
-            self.sink.emit(ObsKind::ReplaySent { to, messages });
-            if let Some(t0) = t0 {
-                let round = self.engine.stats().rounds;
-                if let Some(p) = self.prof.as_mut() {
-                    let d = p.stop(t0, messages);
-                    p.add(PHASE_REPLAY, round, d);
-                }
-            }
+        if let (Some(p), Some(t0)) = (self.probe.as_mut(), t0.filter(|_| messages > 0)) {
+            let round = self.engine.stats().rounds;
+            let cost = p.cost(t0, messages);
+            p.emit(ObsKind::ReplaySent { to, messages, round, cost });
         }
         Ok(())
     }
@@ -698,7 +664,7 @@ impl WorkerCore {
         upto: u64,
     ) -> Result<()> {
         self.safra.on_basic_receive();
-        self.sink.emit(ObsKind::SnapshotReceived {
+        self.emit(ObsKind::SnapshotReceived {
             from,
             payloads: payloads.len() as u64,
             upto,
@@ -740,7 +706,7 @@ impl WorkerCore {
         let first_delivery =
             seq >= self.recv_floor[from] && self.seen_above[from].insert(seq);
         let (_, count) = crate::codec::peek_batch(&payload)?;
-        self.sink.emit(ObsKind::BatchReceived {
+        self.emit(ObsKind::BatchReceived {
             from,
             tuples: count as u64,
             bytes: payload.len() as u64,
@@ -782,7 +748,7 @@ impl WorkerCore {
     /// Coalesced receiving step: decode every stashed payload of an inbox
     /// inside a single `inject_with` — one index sync per inbox, however
     /// many batches arrived since the last drain. Returns the number of
-    /// tuples decoded (the profiler's deterministic decode proxy).
+    /// tuples decoded (the deterministic decode proxy).
     fn drain_stash(&mut self) -> Result<u64> {
         if self.stash_count == 0 {
             return Ok(0);
@@ -834,7 +800,7 @@ impl WorkerCore {
             self.ship_groups[k].from_row = from_row + count;
             shipped = true;
             let payload = if self.ship_groups[k].dests.iter().any(|(d, _)| *d != self.id) {
-                let t0 = self.prof.as_ref().map(|p| p.start());
+                let t0 = self.probe.as_ref().map(|p| p.now());
                 let payload = {
                     let tuples = self.engine.rows_from(channel, from_row);
                     crate::codec::encode_batch(channel.1, tuples)?
@@ -843,21 +809,17 @@ impl WorkerCore {
                 self.encode_calls += 1;
                 self.encoded_bytes += payload.len() as u64;
                 self.encoded_raw_bytes += raw_bytes;
-                self.sink.emit(ObsKind::BatchEncoded {
-                    channel: channel.0 .0,
-                    tuples: count as u64,
-                    bytes: payload.len() as u64,
-                    raw_bytes,
-                });
-                if let Some(t0) = t0 {
-                    let round = self.engine.stats().rounds;
+                if let (Some(p), Some(t0)) = (self.probe.as_mut(), t0) {
                     let bytes = payload.len() as u64;
-                    if let Some(p) = self.prof.as_mut() {
-                        let d = p.stop(t0, bytes);
-                        p.add(PHASE_ENCODE, round, d);
-                        p.profile.encode_time.record(d);
-                        p.profile.batch_bytes.record(bytes);
-                    }
+                    let cost = p.cost(t0, bytes);
+                    p.emit(ObsKind::BatchEncoded {
+                        channel: channel.0 .0,
+                        tuples: count as u64,
+                        bytes,
+                        raw_bytes,
+                        round: self.engine.stats().rounds,
+                        cost,
+                    });
                 }
                 Some(payload)
             } else {
@@ -884,7 +846,7 @@ impl WorkerCore {
                 self.record_round_send(count as u64);
                 self.safra.on_send();
                 let seq = self.next_batch_seq(dest);
-                self.sink.emit(ObsKind::BatchSent {
+                self.emit(ObsKind::BatchSent {
                     to: dest,
                     tuples: count as u64,
                     bytes: payload.len() as u64,
@@ -930,13 +892,13 @@ impl WorkerCore {
                 // A pre-recovery token survived in our queue; the current
                 // epoch's probe supersedes it.
                 self.stale_dropped += 1;
-                self.sink.emit(ObsKind::TokenDropped);
+                self.emit(ObsKind::TokenDropped);
                 Ok(())
             }
             TokenAction::Terminate => {
                 self.terminated = true;
                 self.replay.iter_mut().for_each(ReplayLog::clear);
-                self.sink.emit(ObsKind::Terminated);
+                self.emit(ObsKind::Terminated);
                 for dest in 0..self.n {
                     if dest != self.id {
                         self.send_ctrl(dest, Message::Terminate, out)?;
@@ -948,7 +910,7 @@ impl WorkerCore {
     }
 
     fn send_token(&mut self, dest: usize, token: TokenMsg, out: &mut dyn Outbox) -> Result<()> {
-        self.sink.emit(ObsKind::TokenSent {
+        self.emit(ObsKind::TokenSent {
             to: dest,
             count: token.count,
             black: token.is_black(),
@@ -991,11 +953,14 @@ impl WorkerCore {
         self.replay[dest].tail_len()
     }
 
-    pub(crate) fn into_report(self, pooled_tuples: u64) -> WorkerReport {
+    /// The incarnation's report and its journal buffer. The profile is
+    /// the fold of that buffer, so the two views cannot disagree.
+    pub(crate) fn into_report(mut self, pooled_tuples: u64) -> (WorkerReport, Vec<ObsEvent>) {
         let stats = self.engine.stats().clone();
         let processing_firings = stats.firings_for_rules(&self.spec.program.processing_rules);
-        let profile = self.prof.map(|p| p.profile);
-        WorkerReport {
+        let events = self.take_events();
+        let profile = self.probe.is_some().then(|| WorkerProfile::fold(&events));
+        let report = WorkerReport {
             processor: self.id,
             eval: stats,
             processing_firings,
@@ -1017,7 +982,8 @@ impl WorkerCore {
             sent_per_round: self.sent_per_round,
             profile,
         }
-        .with_pooled(pooled_tuples)
+        .with_pooled(pooled_tuples);
+        (report, events)
     }
 
     /// Move the pooled relations out of the engine (final pooling, §3
@@ -1053,8 +1019,8 @@ pub(crate) fn finish_core(
         Vec::new()
     };
     let pooled_tuples = pooled.iter().map(|(_, r)| r.len() as u64).sum();
-    let events = core.take_trace_events();
-    (core.into_report(pooled_tuples), pooled, events)
+    let (report, events) = core.into_report(pooled_tuples);
+    (report, pooled, events)
 }
 
 /// The watchdog error every transport reports when a worker starves while
@@ -1066,7 +1032,7 @@ pub(crate) fn watchdog_error(id: usize, idle_for: impl std::fmt::Debug) -> Error
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::spec::ProcessorProgram;
     use crate::termination::Color;
@@ -1076,7 +1042,7 @@ mod tests {
 
     /// Outbox that records sends for inspection.
     #[derive(Default)]
-    struct Recorder {
+    pub(crate) struct Recorder {
         sent: Vec<(usize, Envelope)>,
     }
 
@@ -1122,7 +1088,7 @@ mod tests {
 
     /// A two-worker core pair: worker 0 derives from `e` and has real work
     /// to do; worker 1 just stores what it receives.
-    fn busy_core() -> (WorkerCore, Interner) {
+    pub(crate) fn busy_core() -> (WorkerCore, Interner) {
         let interner = Interner::new();
         let unit = gst_frontend::parser::parse_program_with(
             "t(X,Y) :- e(X,Y).\n\
@@ -1468,7 +1434,7 @@ mod tests {
             session: None,
         };
         let mut core = WorkerCore::new(spec, 3).unwrap();
-        core.set_sink(TraceSink::virtual_clock(0));
+        core.set_probe(Probe::virtual_clock(0));
         let mut out = Recorder::default();
         while core.step(&mut out).unwrap() == Step::Worked {}
 
@@ -1485,7 +1451,7 @@ mod tests {
             Arc::ptr_eq(&payloads[0], &payloads[1]),
             "both destinations share the single encoding"
         );
-        let events = core.take_trace_events();
+        let events = core.take_events();
         let encodes = events
             .iter()
             .filter(|e| matches!(e.kind, ObsKind::BatchEncoded { .. }))

@@ -339,7 +339,8 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
     if (seed != 0 || faults != "none") && !sim {
         return Err("--seed/--faults only make sense with --sim".into());
     }
-    if (show_trace || trace_out.is_some()) && matches!(scheme_name.as_str(), "seq" | "naive") {
+    let tracing = show_trace || trace_out.is_some();
+    if tracing && matches!(scheme_name.as_str(), "seq" | "naive") {
         return Err(
             "--trace/--trace-out need a parallel scheme (the journal records worker events)"
                 .into(),
@@ -387,7 +388,7 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
                 .into(),
         );
     }
-    if updates.is_some() && (show_trace || trace_out.is_some()) {
+    if updates.is_some() && tracing {
         return Err("--trace covers a single fixpoint; it does not compose with --updates".into());
     }
     if updates.is_some() && profiling {
@@ -436,11 +437,21 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
     let query_ctx = match &query {
         None => None,
         Some(goal_src) => {
-            let goal = match goal_src {
-                Some(src) => parse_goal(src, &program)?,
-                None => file_queries.first().cloned().ok_or(
-                    "--query with no goal needs a `?- goal.` line in the program file",
-                )?,
+            let goal = match (goal_src, file_queries.as_slice()) {
+                (Some(src), _) => parse_goal(src, &program)?,
+                (None, [goal]) => goal.clone(),
+                (None, []) => {
+                    return Err(
+                        "--query with no goal needs a `?- goal.` line in the program file".into(),
+                    )
+                }
+                (None, goals) => {
+                    return Err(format!(
+                        "--query with no goal is ambiguous: the program file has {} `?- goal.` \
+                         lines; pass the goal explicitly (--query \"p(a, X)\")",
+                        goals.len()
+                    ))
+                }
             };
             Some(
                 parallel_datalog::frontend::magic_rewrite(&program, &goal)
@@ -546,7 +557,9 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             };
             let mut config = RuntimeConfig::default();
             config.worker.morsel_threads = morsels;
-            config.worker.profile = profiling;
+            // One switch records the journal and its phase fold; the
+            // flags only choose which views to print or write.
+            config.worker.profile = profiling || tracing;
             if let Some(budget) = max_restarts {
                 config.supervisor.max_restarts = budget;
             }
@@ -556,7 +569,6 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             if let Some(ms) = restart_backoff_ms {
                 config.supervisor.restart_backoff = std::time::Duration::from_millis(ms);
             }
-            config.trace = show_trace || trace_out.is_some();
             if let Some(upath) = &updates {
                 let stream = std::fs::read_to_string(upath)
                     .map_err(|e| format!("cannot read {upath}: {e}"))?;
@@ -639,7 +651,7 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             }
             let outcome = if sim {
                 let plan = FaultPlan::parse(&faults).map_err(|e| e.to_string())?;
-                if config.trace {
+                if tracing {
                     let transport = SimTransport::with_faults(seed, plan);
                     let (result, trace) =
                         transport.run_traced(scheme.workers.clone(), &config);
@@ -676,11 +688,8 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
                 write_chrome_trace(path, &outcome.journal)?;
             }
             if profiling {
-                use parallel_datalog::runtime::{ProfileReport, TimeBase};
-                // Sim profiles count deterministic work proxies (virtual
-                // ticks); threaded and net profiles count wall micros.
-                let base = if sim { TimeBase::VirtualTicks } else { TimeBase::WallMicros };
-                match ProfileReport::build(&outcome.stats, base) {
+                use parallel_datalog::runtime::ProfileReport;
+                match ProfileReport::build(&outcome) {
                     Some(report) => {
                         // Magic/adorned rules keep their source indices in
                         // the processor program (sending rules come after),

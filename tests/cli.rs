@@ -633,6 +633,26 @@ fn query_mode_uses_the_files_embedded_goal() {
     let out = pdatalog().args(["run"]).arg(&bare).arg("--query").output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("?- goal"), "needs a goal");
+
+    // Several embedded goals: the bare form refuses to pick one...
+    let two = write_program(
+        "magic_two_goals.dl",
+        &format!("{ANCESTOR}\n?- anc(3, Y).\n?- anc(1, Y).\n"),
+    );
+    let out = pdatalog().args(["run"]).arg(&two).arg("--query").output().unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("has 2 `?- goal.` lines"), "{stderr}");
+    assert!(stderr.contains("pass the goal explicitly"), "{stderr}");
+    // ...while an explicit goal still runs against the same file.
+    let out = pdatalog()
+        .args(["run"])
+        .arg(&two)
+        .args(["--query", "anc(1, Y)"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8(out.stdout).unwrap().contains("% anc/2: 3 tuples"));
 }
 
 /// `--explain-rewrite` prints the adorned + magic program with

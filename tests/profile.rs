@@ -8,7 +8,7 @@
 //! it on never perturbs the least model.
 
 use parallel_datalog::prelude::*;
-use parallel_datalog::runtime::{FaultPlan, ProfileReport, TimeBase};
+use parallel_datalog::runtime::{FaultPlan, ProfileReport};
 use parallel_datalog::workloads::{graphs, linear_ancestor};
 
 fn profiled_config() -> RuntimeConfig {
@@ -38,7 +38,7 @@ fn profiling_is_opt_in() {
         "default runs must not carry profiles"
     );
     assert!(
-        ProfileReport::build(&outcome.stats, TimeBase::WallMicros).is_none(),
+        ProfileReport::build(&outcome).is_none(),
         "no profiles, no report"
     );
 }
@@ -54,7 +54,7 @@ fn same_seed_same_profile_json() {
             let outcome = scheme
                 .run_simulated_with(seed, FaultPlan::chaos(), &config)
                 .unwrap();
-            ProfileReport::build(&outcome.stats, TimeBase::VirtualTicks)
+            ProfileReport::build(&outcome)
                 .expect("profiled sim run must produce a report")
                 .to_json()
         };
@@ -75,7 +75,7 @@ fn sim_profile_counts_work_not_wall_time() {
     let outcome = scheme
         .run_simulated_with(5, FaultPlan::jitter(), &profiled_config())
         .unwrap();
-    let report = ProfileReport::build(&outcome.stats, TimeBase::VirtualTicks).unwrap();
+    let report = ProfileReport::build(&outcome).unwrap();
     assert_eq!(report.unit(), "ticks");
     // Compute ticks are firing proxies: they must re-sum to the engines'
     // firing counts, not to anything clock-derived.
@@ -96,7 +96,7 @@ fn threaded_profile_attributes_every_round() {
     // wall-clock profile skeleton must still match the engine's rounds.
     let scheme = example3_hash_partition(&sirup, 1, &db).unwrap();
     let outcome = scheme.execute(&profiled_config()).unwrap();
-    let report = ProfileReport::build(&outcome.stats, TimeBase::WallMicros).unwrap();
+    let report = ProfileReport::build(&outcome).unwrap();
     assert_eq!(report.unit(), "us");
     assert_eq!(report.workers.len(), 1);
     let profile = &report.workers[0].1;
@@ -158,7 +158,7 @@ fn profile_survives_the_tcp_wire_format() {
             w.eval.rounds
         );
     }
-    let report = ProfileReport::build(&outcome.stats, TimeBase::WallMicros).unwrap();
+    let report = ProfileReport::build(&outcome).unwrap();
     assert_eq!(report.workers.len(), 4);
     let summed: u64 = outcome
         .stats
@@ -208,8 +208,42 @@ fn profiled_recovery_still_reports_for_every_live_worker() {
             w.processor
         );
     }
-    let report = ProfileReport::build(&outcome.stats, TimeBase::VirtualTicks).unwrap();
+    let report = ProfileReport::build(&outcome).unwrap();
     assert!(report.merged.phases.compute > 0);
     let anc = fx.output_id();
     assert!(outcome.relation(anc).set_eq(&seq.relation(anc)));
+}
+
+/// The journal and the profile are two folds of one event stream: folding
+/// each live worker's journal events — those after its last restart —
+/// reproduces its reported profile exactly, on the virtual clock through
+/// a crash and recovery, and on the wall clock.
+#[test]
+fn profile_is_the_fold_of_the_journal() {
+    use parallel_datalog::runtime::{ExecutionOutcome, ObsKind, WorkerProfile};
+    let check = |outcome: &ExecutionOutcome| {
+        for report in &outcome.stats.workers {
+            let w = report.processor;
+            let events: Vec<_> = outcome.journal.worker_events(w).cloned().collect();
+            let start = events
+                .iter()
+                .rposition(|e| matches!(e.kind, ObsKind::Restarted { .. }))
+                .map_or(0, |i| i + 1);
+            assert_eq!(
+                Some(WorkerProfile::fold(&events[start..])),
+                report.profile,
+                "worker {w}: the profile is not the fold of its journal"
+            );
+        }
+    };
+    let (fx, db) = fixture();
+    let sirup = LinearSirup::from_program(&fx.program).unwrap();
+    let scheme = example3_hash_partition(&sirup, 4, &db).unwrap();
+    let plan = FaultPlan::with_recovering_crash(1, 40);
+    let sim = scheme.run_simulated_with(2, plan, &profiled_config()).unwrap();
+    assert!(sim.stats.restarts >= 1, "the crash must trigger a restart");
+    let merged = ProfileReport::build(&sim).unwrap().merged;
+    assert!(merged.phases.replay > 0 && merged.phases.idle > 0);
+    check(&sim);
+    check(&scheme.execute(&profiled_config()).unwrap());
 }

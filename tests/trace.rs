@@ -12,10 +12,9 @@ use parallel_datalog::runtime::{FaultPlan, ObsKind};
 use parallel_datalog::workloads::{graphs, linear_ancestor};
 
 fn traced_config() -> RuntimeConfig {
-    RuntimeConfig {
-        trace: true,
-        ..RuntimeConfig::default()
-    }
+    let mut config = RuntimeConfig::default();
+    config.worker.profile = true;
+    config
 }
 
 fn fixture() -> (
