@@ -17,7 +17,7 @@ use gst_core::prelude::{
 use gst_core::schemes::{BaseDistribution, CompiledScheme};
 use gst_eval::seminaive_eval;
 use gst_frontend::{LinearSirup, Program, Variable};
-use gst_runtime::{ExecutionOutcome, FaultPlan, RuntimeConfig};
+use gst_runtime::{ExecutionOutcome, FaultPlan, RuntimeConfig, SimTransport, Transport};
 use gst_storage::{round_robin_fragment, Relation};
 use gst_workloads::{
     chain, chain_sirup, even_odd, example6_sirup, grid, layered, linear_ancestor,
@@ -716,6 +716,13 @@ pub struct ScalingRow {
 pub fn communication_scaling(n: usize, sizes: &[u64]) -> Vec<ScalingRow> {
     let fx = linear_ancestor();
     let sirup = LinearSirup::from_program(&fx.program).unwrap();
+    let comm = |scheme: Result<CompiledScheme, _>| {
+        SimTransport::lockstep()
+            .execute(scheme.unwrap().workers, &RuntimeConfig::default())
+            .unwrap()
+            .stats
+            .total_tuples_sent()
+    };
     sizes
         .iter()
         .map(|&nodes| {
@@ -723,28 +730,9 @@ pub fn communication_scaling(n: usize, sizes: &[u64]) -> Vec<ScalingRow> {
             let db = fx.database(&data);
             let seq = seminaive_eval(&fx.program, &db).unwrap();
             let closure = seq.relation(fx.output_id()).len() as u64;
-            let c1 = example1_wolfson(&sirup, n, &db)
-                .unwrap()
-                .run_synchronous()
-                .unwrap()
-                .stats
-                .total_tuples_sent();
-            let c3 = example3_hash_partition(&sirup, n, &db)
-                .unwrap()
-                .run_synchronous()
-                .unwrap()
-                .stats
-                .total_tuples_sent();
-            let c2 = example2_valduriez(
-                &sirup,
-                round_robin_fragment(&data, n).unwrap(),
-                &db,
-            )
-            .unwrap()
-            .run_synchronous()
-            .unwrap()
-            .stats
-            .total_tuples_sent();
+            let c1 = comm(example1_wolfson(&sirup, n, &db));
+            let c3 = comm(example3_hash_partition(&sirup, n, &db));
+            let c2 = comm(example2_valduriez(&sirup, round_robin_fragment(&data, n).unwrap(), &db));
             ScalingRow {
                 edges: data.len() as u64,
                 closure,
@@ -765,18 +753,20 @@ pub struct SimulatedRow {
     pub predicted_us: (f64, f64, f64),
 }
 
-/// **P3 — §8, quantified**: replay deterministic round traces of the
-/// three §4 schemes under three machine models (shared memory, LAN
-/// cluster, WAN). The winner flips with the architecture — the paper's
-/// closing claim, in predicted microseconds.
+/// **P3 — §8, quantified**: replay the per-phase traces of profiled
+/// lockstep runs of the three §4 schemes under three machine models
+/// (shared memory, LAN cluster, WAN). The winner flips with the
+/// architecture — the paper's closing claim, in predicted microseconds.
 pub fn simulate_architectures(nodes: u64, edges: u64, seed: u64, ns: &[usize]) -> Vec<SimulatedRow> {
-    use gst_runtime::{execute_synchronous_traced, simulate_bsp, MachineModel};
+    use gst_runtime::{simulate_bsp, MachineModel, RoundTrace};
 
     let fx = linear_ancestor();
     let data = random_digraph(nodes, edges, seed);
     let db = fx.database(&data);
     let sirup = LinearSirup::from_program(&fx.program).unwrap();
 
+    let mut config = RuntimeConfig::default();
+    config.worker.profile = true;
     let mut rows = Vec::new();
     for &n in ns {
         let schemes: Vec<(&str, CompiledScheme)> = vec![
@@ -792,7 +782,8 @@ pub fn simulate_architectures(nodes: u64, edges: u64, seed: u64, ns: &[usize]) -
             ),
         ];
         for (name, scheme) in schemes {
-            let (_, trace) = execute_synchronous_traced(&scheme.workers).unwrap();
+            let outcome = SimTransport::lockstep().execute(scheme.workers, &config).unwrap();
+            let trace = RoundTrace::from_journal(&outcome.journal, n);
             rows.push(SimulatedRow {
                 scheme: name.into(),
                 n,

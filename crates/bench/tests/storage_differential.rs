@@ -10,16 +10,16 @@
 //!    everything every round) — identical least models.
 //! 2. **Parallel**: every §4 scheme × N pools exactly the sequential
 //!    model, tuple for tuple.
-//! 3. **Determinism**: repeated bulk-synchronous runs are bit-identical —
-//!    sorted models, firing counts, shipped-tuple totals, and the full
-//!    per-link channel matrix — and the async runtime ships the same
-//!    tuple totals as the phased mode.
+//! 3. **Determinism**: repeated lockstep runs (the paper's phased loop on
+//!    the simulator) are bit-identical — sorted models, firing counts,
+//!    shipped-tuple totals, and the full per-link channel matrix — and the
+//!    async runtime ships the same tuple totals as the phased mode.
 
 use gst_core::prelude::{example1_wolfson, example2_valduriez, example3_hash_partition};
 use gst_core::schemes::CompiledScheme;
 use gst_eval::{naive_eval, seminaive_eval};
 use gst_frontend::LinearSirup;
-use gst_runtime::RuntimeConfig;
+use gst_runtime::{RuntimeConfig, SimTransport, Transport};
 use gst_storage::{round_robin_fragment, Relation};
 use gst_workloads::{chain, grid, layered, linear_ancestor, random_digraph};
 
@@ -95,7 +95,7 @@ fn every_scheme_pools_the_sequential_model() {
     }
 }
 
-/// Layer 3: the phased synchronous mode is deterministic down to firing
+/// Layer 3: the phased lockstep schedule is deterministic down to firing
 /// counts and the per-link channel matrix, and the async runtime ships
 /// the same tuple totals and computes the same model.
 #[test]
@@ -108,8 +108,9 @@ fn synchronous_runs_are_bit_identical_and_agree_with_async() {
     let db = fx.database(&data);
     for n in [2, 4] {
         for (sname, scheme) in &schemes(&sirup, n, &data, &db) {
-            let a = scheme.run_synchronous().unwrap();
-            let b = scheme.run_synchronous().unwrap();
+            let lockstep = || SimTransport::lockstep().execute(scheme.workers.clone(), &config);
+            let a = lockstep().unwrap();
+            let b = lockstep().unwrap();
             assert_eq!(
                 a.relation(anc).sorted(),
                 b.relation(anc).sorted(),

@@ -10,8 +10,10 @@
 //!
 //! Every rewriting produces a [`CompiledScheme`]: one
 //! [`gst_runtime::WorkerSpec`] per processor plus the identity of the
-//! global answer predicates. Executing it runs the real multi-threaded
-//! runtime and returns pooled relations plus communication statistics.
+//! global answer predicates. Executing it runs the real runtime — threads
+//! by default, or any [`gst_runtime::Transport`], such as the simulator's
+//! phased [`gst_runtime::SimTransport::lockstep`] schedule — and returns
+//! pooled relations plus communication statistics.
 
 pub mod common;
 pub mod demand;
@@ -59,13 +61,6 @@ impl CompiledScheme {
     /// Run with default runtime settings.
     pub fn run(&self) -> Result<ExecutionOutcome> {
         self.execute(&RuntimeConfig::default())
-    }
-
-    /// Run in the strict, deterministic bulk-synchronous mode (the
-    /// paper's phased `repeat … until` loop; see
-    /// [`gst_runtime::execute_synchronous`]).
-    pub fn run_synchronous(&self) -> Result<ExecutionOutcome> {
-        gst_runtime::execute_synchronous(&self.workers)
     }
 
     /// Run under the deterministic simulation transport: all processors

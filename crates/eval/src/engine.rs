@@ -61,11 +61,6 @@ impl IdbState {
         (submitted, fresh)
     }
 
-    /// The current delta as a borrowed arena suffix.
-    fn delta_slice(&self) -> &[Tuple] {
-        &self.full.rows()[self.delta_start..]
-    }
-
     fn delta_is_empty(&self) -> bool {
         self.delta_start == self.full.len()
     }
@@ -255,13 +250,6 @@ impl FixpointEngine {
         self.idb.get(&pred).map(|s| &s.full)
     }
 
-    /// The previous round's fresh tuples for `pred` — a borrowed slice
-    /// of the relation's row arena (what a worker transmits on the
-    /// channels after an advance, and encodes without copying).
-    pub fn delta_tuples(&self, pred: RelationId) -> &[Tuple] {
-        self.idb.get(&pred).map(|s| s.delta_slice()).unwrap_or(&[])
-    }
-
     /// Everything appended to `pred`'s row arena at or after row `from` —
     /// a borrowed slice spanning any number of rounds. Workers that defer
     /// shipping to the local fixpoint read their per-channel backlog this
@@ -337,22 +325,12 @@ impl FixpointEngine {
         }
     }
 
-    /// Queue the current delta of `from` into the pending pool of `to` —
-    /// the path for a worker's self-channel (`t_ii`), which needs no wire
-    /// format. Equivalent to `inject(to, delta_tuples(from))` but legal
-    /// while the delta borrows the engine. Returns the tuples queued.
-    ///
-    /// # Errors
-    /// `to` must be a derived predicate with the same arity as `from`.
-    pub fn loopback(&mut self, from: RelationId, to: RelationId) -> Result<u64> {
-        let start = self.idb.get(&from).map(|s| s.delta_start).unwrap_or(0);
-        self.loopback_from(from, to, start)
-    }
-
-    /// Like [`FixpointEngine::loopback`], but queues every row of `from`
-    /// at or after arena row `from_row` — the self-channel counterpart of
+    /// Queue every row of `from` at or after arena row `from_row` into the
+    /// pending pool of `to` — the path for a worker's self-channel
+    /// (`t_ii`), which needs no wire format, and the counterpart of
     /// [`FixpointEngine::rows_from`] for workers that ship at the local
-    /// fixpoint instead of every round.
+    /// fixpoint. Equivalent to `inject(to, rows_from(from, from_row))` but
+    /// legal while the rows borrow the engine. Returns the tuples queued.
     ///
     /// # Errors
     /// `to` must be a derived predicate with the same arity as `from`.
@@ -1048,20 +1026,6 @@ mod tests {
         let t = engine.relation(t_id).unwrap();
         assert!(t.contains(&ituple![1, 5]));
         assert!(t.contains(&ituple![0, 5]));
-    }
-
-    #[test]
-    fn delta_tuples_expose_last_round() {
-        let (p, db) = load("t(X,Y) :- e(X,Y).\nt(X,Y) :- e(X,Z), t(Z,Y).\ne(1,2). e(2,3).");
-        let t_id = (p.interner.get("t").unwrap(), 2);
-        let mut engine = FixpointEngine::new(&p, Arc::new(db), &[]).unwrap();
-        engine.bootstrap().unwrap();
-        assert!(engine.advance() > 0);
-        let first_delta = engine.delta_tuples(t_id);
-        assert_eq!(first_delta.len(), 2); // e copied
-        engine.process_round();
-        assert_eq!(engine.advance(), 1); // t(1,3)
-        assert_eq!(engine.delta_tuples(t_id), vec![ituple![1, 3]]);
     }
 
     #[test]

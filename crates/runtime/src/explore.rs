@@ -26,7 +26,7 @@ use crate::sim::{SimTrace, SimTransport};
 use crate::spec::WorkerSpec;
 
 /// The expected least model: predicate → relation, as computed by a
-/// trusted oracle (sequential semi-naive or the synchronous executor).
+/// trusted oracle (sequential semi-naive or a lockstep run).
 pub type ExpectedModel = FxHashMap<RelationId, Relation>;
 
 /// One seed that did not reproduce the expected model.

@@ -27,6 +27,11 @@
 
 use gst_common::{Error, Result};
 
+/// Largest tick value a plan may name. The simulator schedules each event
+/// at most a few such values past the current time and stops after 2·10^7
+/// events, so virtual time stays far below `u64::MAX`.
+const MAX_TICKS: u64 = 1 << 32;
+
 /// When (and whom) to crash. Without `recover` this is the only fault
 /// that is *supposed* to make the run fail; with `recover` the simulated
 /// supervisor restarts the worker and the run must still compute the
@@ -176,13 +181,7 @@ impl FaultPlan {
             let key = key.trim();
             let value = value.trim();
             let ticks = || value.parse::<u64>().map_err(|_| bad(&format!("{key}={value}")));
-            let prob = || {
-                value
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|p| (0.0..=1.0).contains(p))
-                    .ok_or_else(|| bad(&format!("{key}={value} (want probability in [0,1])")))
-            };
+            let prob = || value.parse::<f64>().map_err(|_| bad(&format!("{key}={value}")));
             match key {
                 "min" => plan.min_delay = ticks()?,
                 "max" => plan.max_delay = ticks()?,
@@ -210,13 +209,38 @@ impl FaultPlan {
                 None => return Err(bad("recover without a crash=<worker>@<tick>")),
             }
         }
-        if plan.max_delay < plan.min_delay {
-            return Err(bad("max delay below min delay"));
-        }
-        if plan.min_delay == 0 {
-            return Err(bad("zero latency would deliver into the sending step"));
-        }
+        plan.validate()?;
         Ok(plan)
+    }
+
+    /// Check the plan is one the simulator can run: delays ordered and
+    /// nonzero, probabilities in `[0, 1]`, and every tick value (`min`,
+    /// `max`, `redeliver`, `stall-ticks`, the crash tick) within a bound
+    /// that keeps virtual-time arithmetic from overflowing. The error
+    /// names the offending key.
+    pub fn validate(&self) -> Result<()> {
+        let bad = |what: String| Error::Runtime(format!("bad fault plan: {what}"));
+        let ticks = [
+            ("min", self.min_delay),
+            ("max", self.max_delay),
+            ("redeliver", self.drop_redeliver_after),
+            ("stall-ticks", self.stall_ticks),
+            ("crash", self.crash.map_or(0, |c| c.at_time)),
+        ];
+        if let Some((key, value)) = ticks.into_iter().find(|(_, v)| *v > MAX_TICKS) {
+            return Err(bad(format!("{key}={value} exceeds the {MAX_TICKS}-tick bound")));
+        }
+        let probs = [("dup", self.dup_prob), ("drop", self.drop_prob), ("stall", self.stall_prob)];
+        if let Some((key, p)) = probs.into_iter().find(|(_, p)| !(0.0..=1.0).contains(p)) {
+            return Err(bad(format!("{key}={p} (want probability in [0,1])")));
+        }
+        if self.max_delay < self.min_delay {
+            return Err(bad("max delay below min delay".into()));
+        }
+        if self.min_delay == 0 {
+            return Err(bad("zero latency would deliver into the sending step".into()));
+        }
+        Ok(())
     }
 }
 
@@ -295,6 +319,24 @@ mod tests {
         ] {
             assert!(FaultPlan::parse(text).is_err(), "{text:?} should fail");
         }
+    }
+
+    #[test]
+    fn tick_values_are_bounded_by_key() {
+        let huge = u64::MAX;
+        for key in ["min", "max", "redeliver", "stall-ticks"] {
+            let err = FaultPlan::parse(&format!("none,max=5,{key}={huge}")).unwrap_err();
+            assert!(err.to_string().contains(&format!("{key}={huge}")), "{err}");
+        }
+        let err = FaultPlan::parse(&format!("none,crash=1@{huge}")).unwrap_err();
+        assert!(err.to_string().contains("crash="), "{err}");
+        // The library path runs the same checks.
+        let plan = FaultPlan { stall_ticks: huge, ..FaultPlan::chaos() };
+        assert!(plan.validate().unwrap_err().to_string().contains("stall-ticks"));
+        let plan = FaultPlan { dup_prob: f64::NAN, ..FaultPlan::none() };
+        assert!(plan.validate().unwrap_err().to_string().contains("dup="));
+        assert!(FaultPlan::chaos().validate().is_ok());
+        assert!(FaultPlan::parse(&format!("none,max={MAX_TICKS}")).is_ok());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! and Chandy–Misra).
 //!
 //! Here each processor is a transport-agnostic state machine
-//! ([`worker::WorkerCore`]) running a [`gst_eval::FixpointEngine`] over its
+//! (`worker::WorkerCore`) running a [`gst_eval::FixpointEngine`] over its
 //! rewritten program, with termination detected by Safra's colored-token
 //! ring algorithm (the same diffusing-computation family the paper cites),
 //! implemented as a pure, unit-testable state machine in [`termination`].
@@ -22,6 +22,9 @@
 //!   under a virtual clock with a seeded scheduler and [`fault::FaultPlan`]
 //!   injection: deterministic, replayable, adversarial. [`explore`] sweeps
 //!   seed ranges and shrinks failures to minimal replayable traces.
+//!   [`sim::SimTransport::lockstep`] instead runs the paper's globally
+//!   phased loop, whose profiled journal [`simulate`] folds into per-phase
+//!   records for the machine-model predictions.
 //!
 //! The runtime is scheme-agnostic: it executes any [`ProcessorProgram`] —
 //! the rewriting schemes in `gst-core` produce them — and reports the
@@ -44,7 +47,6 @@ pub mod sim;
 pub mod spec;
 pub mod simulate;
 pub mod stats;
-pub mod sync;
 pub mod termination;
 pub mod transport;
 pub(crate) mod wire;
@@ -63,7 +65,6 @@ pub use profile::{
 };
 pub use sim::{SimTrace, SimTransport, TraceEvent};
 pub use simulate::{simulate_bsp, MachineModel, RoundTrace};
-pub use sync::{execute_synchronous, execute_synchronous_traced};
 pub use spec::{ChannelOut, ProcessorProgram, SessionSeed, WorkerSpec};
 pub use stats::{ExecutionOutcome, ParallelStats, WorkerReport};
 pub use transport::{ThreadedTransport, Transport};

@@ -3,12 +3,12 @@
 //! The paper's architecture (§3) is agnostic about what a "processor" is;
 //! [`crate::transport::ThreadedTransport`] realizes it as OS threads and
 //! [`crate::sim::SimTransport`] as simulated interleavings. This module
-//! cuts the same [`crate::worker::WorkerCore`] state machine at a *real
+//! cuts the same `WorkerCore` state machine at a *real
 //! network boundary*: a [`NetCoordinator`] binds a TCP listener, launches
 //! one worker per processor (a separate OS process under
 //! [`ProcessLauncher`], or a thread speaking real loopback TCP under
 //! [`InProcessLauncher`] for tests and benchmarks), ships each worker its
-//! [`WorkerSpec`] over the framed wire protocol ([`crate::wire`]), relays
+//! [`WorkerSpec`] over the framed wire protocol (the `wire` module), relays
 //! worker-to-worker envelopes by destination, and pools the answer.
 //!
 //! ## Topology and protocol
@@ -33,7 +33,7 @@
 //! to the survivors (who replay from their per-link replay logs), and
 //! launches a fresh incarnation, which receives the Job again plus the
 //! same `Recover` so it repairs into the current epoch. A typed
-//! [`wire::FRAME_ERROR`] marked fatal (arity bugs, watchdog expiry)
+//! `wire::FRAME_ERROR` marked fatal (arity bugs, watchdog expiry)
 //! aborts the fleet immediately.
 //!
 //! ## Fault injection
@@ -798,6 +798,11 @@ impl NetCoordinator {
 impl Transport for NetCoordinator {
     fn execute(&self, specs: Vec<WorkerSpec>, config: &RuntimeConfig) -> Result<ExecutionOutcome> {
         validate_specs(&specs)?;
+        let named = self.faults.faults.iter().map(|e| ("net fault plan", e.worker));
+        let kill = self.kill.map(|k| ("kill spec", k.worker));
+        if let Some((what, w)) = named.chain(kill).find(|(_, w)| *w >= specs.len()) {
+            return Err(Error::Runtime(format!("{what} names nonexistent processor {w}")));
+        }
         let listener = TcpListener::bind(self.net.bind)
             .map_err(|e| Error::Runtime(format!("binding {}: {e}", self.net.bind)))?;
         let addr = listener

@@ -10,7 +10,7 @@
 //!
 //! The design is one event stream with two producers and two folds:
 //!
-//! * **Producers** — every [`crate::worker::WorkerCore`] run with
+//! * **Producers** — every `WorkerCore` run with
 //!   [`crate::worker::WorkerConfig::profile`] on owns a `Probe`: one
 //!   event buffer and one clock — wall microseconds on the threaded and
 //!   TCP transports, the virtual clock in the simulator. Each timed site

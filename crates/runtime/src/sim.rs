@@ -14,7 +14,7 @@
 //! from a sweep ([`crate::explore`]) is therefore a complete, replayable
 //! bug report.
 //!
-//! The same [`crate::worker::WorkerCore`] state machine runs here and in
+//! The same `WorkerCore` state machine runs here and in
 //! the threaded transport; nothing is mocked above the wire. This is the
 //! simulation-testing discipline FoundationDB popularized, applied to the
 //! paper's architecture: the algorithmic claims (least-model correctness
@@ -22,10 +22,18 @@
 //! duplication) are checked under schedules far nastier than an OS will
 //! produce in a CI run.
 //!
+//! [`SimTransport::lockstep`] swaps the seeded schedule for the paper's
+//! globally phased `repeat … until` loop (§3): every ready worker takes
+//! one step per phase, and every envelope sent in phase k is in its
+//! receiver's queue before any worker's phase k+1 step. It draws nothing
+//! from the rng and runs no fault plan, so the same specs give the same
+//! run; [`crate::simulate::RoundTrace::from_journal`] folds a profiled
+//! lockstep run into per-phase records.
+//!
 //! Crashes come in two flavors. A plain [`crate::fault::CrashSpec`] kills a
 //! worker for good and the run must surface the idle-watchdog error at a
 //! healthy peer. With `recover: true` the event loop plays the supervisor:
-//! after [`RESTART_DELAY`] ticks it rebuilds the worker from its retained
+//! after `RESTART_DELAY` ticks it rebuilds the worker from its retained
 //! spec in a fresh recovery epoch and broadcasts `Recover` to the whole
 //! fleet over a reliable path (bypassing the fault plan, like a
 //! supervisor's control channel), whereupon peers replay their logged
@@ -62,6 +70,10 @@ const MAX_EVENTS: u64 = 20_000_000;
 /// supervisor's restart of the worker — long enough for in-flight
 /// pre-crash traffic to keep racing the recovery broadcast.
 const RESTART_DELAY: u64 = 25;
+
+/// Virtual ticks per lockstep phase: workers step at even ticks and every
+/// envelope is delivered at the odd tick in between.
+pub(crate) const PHASE_TICKS: u64 = 2;
 
 /// What one simulated worker step reported (public mirror of the worker's
 /// internal step result).
@@ -260,20 +272,27 @@ pub struct SimTransport {
     pub seed: u64,
     /// The misbehavior distribution.
     pub faults: FaultPlan,
+    /// Run the phased lockstep schedule instead of the seeded one.
+    lockstep: bool,
 }
 
 impl SimTransport {
     /// A simulator with a perfect network.
     pub fn new(seed: u64) -> Self {
-        SimTransport {
-            seed,
-            faults: FaultPlan::none(),
-        }
+        SimTransport::with_faults(seed, FaultPlan::none())
     }
 
     /// A simulator drawing faults from `plan`.
     pub fn with_faults(seed: u64, plan: FaultPlan) -> Self {
-        SimTransport { seed, faults: plan }
+        SimTransport { seed, faults: plan, lockstep: false }
+    }
+
+    /// The paper's globally phased loop: one step of every ready worker
+    /// per phase, with every envelope of phase k delivered before phase
+    /// k+1. No seed and no faults; a fault plan set on the result is
+    /// rejected when the run starts.
+    pub fn lockstep() -> Self {
+        SimTransport { lockstep: true, ..SimTransport::new(0) }
     }
 
     /// Run the fleet, returning the outcome together with the replayable
@@ -295,6 +314,12 @@ impl SimTransport {
         trace: &mut SimTrace,
     ) -> Result<ExecutionOutcome> {
         validate_specs(&specs)?;
+        self.faults.validate()?;
+        if self.lockstep && self.faults != FaultPlan::none() {
+            return Err(gst_common::Error::Runtime(
+                "the lockstep schedule takes no fault plan".into(),
+            ));
+        }
         if let Some(crash) = self.faults.crash {
             if crash.worker >= specs.len() {
                 return Err(gst_common::Error::Runtime(format!(
@@ -339,9 +364,9 @@ impl SimTransport {
         let mut ready_pending = vec![false; n];
         let mut crashed = vec![false; n];
         // Random initial offsets: even the first step order is part of the
-        // explored schedule space.
+        // explored schedule space. Lockstep starts everyone in phase 0.
         for (w, pending) in ready_pending.iter_mut().enumerate() {
-            let at = rng.gen_below(STEP_JITTER + 1);
+            let at = if self.lockstep { 0 } else { rng.gen_below(STEP_JITTER + 1) };
             *pending = true;
             push(&mut heap, at, EventKind::Ready(w));
         }
@@ -384,7 +409,12 @@ impl SimTransport {
                         self.route(&mut rng, &mut push, &mut heap, now, to, env);
                     }
                     if step == Step::Worked {
-                        let mut at = now + 1 + rng.gen_below(STEP_JITTER);
+                        let mut at = if self.lockstep {
+                            now + PHASE_TICKS
+                        } else {
+                            now + 1 + rng.gen_below(STEP_JITTER)
+                        };
+                        // A lockstep run has no fault plan, so never stalls.
                         if self.faults.stall_ticks > 0
                             && rng.gen_bool(self.faults.stall_prob)
                         {
@@ -417,8 +447,10 @@ impl SimTransport {
                     }
                     cores[to].enqueue(env);
                     if !ready_pending[to] {
+                        // Lockstep wakes the receiver at the next phase.
+                        let at = if self.lockstep { now.next_multiple_of(PHASE_TICKS) } else { now };
                         ready_pending[to] = true;
-                        push(&mut heap, now, EventKind::Ready(to));
+                        push(&mut heap, at, EventKind::Ready(to));
                     }
                 }
                 EventKind::Crash(w) => {
@@ -568,6 +600,11 @@ impl SimTransport {
         to: usize,
         env: Envelope,
     ) {
+        if self.lockstep {
+            // Mid-phase delivery: in the queue before the next phase.
+            let kind = EventKind::Deliver { to, env, duplicate: false };
+            return push(heap, now + PHASE_TICKS / 2, kind);
+        }
         let plan = &self.faults;
         let mut delay = rng.gen_inclusive(plan.min_delay, plan.max_delay);
         // Control traffic (token, terminate) is exempt from duplication
@@ -619,8 +656,8 @@ mod tests {
     use gst_storage::Database;
     use std::sync::Arc;
 
-    /// The ping-pong fleet from the sync tests: two workers alternately
-    /// extending paths over a chain whose edges they own half each.
+    /// A two-processor ping-pong: each side extends paths with its own
+    /// half of a chain's edges and ships the frontier to the other side.
     fn ping_pong_specs() -> (Vec<WorkerSpec>, gst_eval::plan::RelationId) {
         let interner = Interner::new();
         let unit0 = gst_frontend::parser::parse_program_with(
@@ -636,73 +673,119 @@ mod tests {
             &interner,
         )
         .unwrap();
-        let e0 = (interner.get("e0").unwrap(), 2);
-        let e1 = (interner.get("e1").unwrap(), 2);
-        let t0 = (interner.get("t0").unwrap(), 2);
-        let t1 = (interner.get("t1").unwrap(), 2);
-        let in0 = (interner.intern("in0"), 2);
-        let in1 = (interner.intern("in1"), 2);
-        let ship0 = (interner.get("ship0").unwrap(), 2);
-        let ship1 = (interner.get("ship1").unwrap(), 2);
-        let answer = (interner.intern("t"), 2);
-
-        let mut db0 = Database::new(interner.clone());
-        let mut db1 = Database::new(interner.clone());
+        let rel = |name: &str| (interner.intern(name), 2);
+        let answer = rel("t");
+        // Worker 0 owns the even→odd edges of 0→1→…→6, worker 1 the
+        // odd→even ones, so every extension crosses the boundary.
+        let mut dbs = [Database::new(interner.clone()), Database::new(interner.clone())];
         for k in 0..6i64 {
-            let id = if k % 2 == 0 { e0 } else { e1 };
-            let db = if k % 2 == 0 { &mut db0 } else { &mut db1 };
-            db.insert(id, ituple![k, k + 1]).unwrap();
+            let w = (k % 2) as usize;
+            dbs[w].insert(rel(&format!("e{w}")), ituple![k, k + 1]).unwrap();
         }
-        let spec0 = WorkerSpec {
+        let [db0, db1] = dbs;
+        let spec = |processor, program, db, processing_rules| WorkerSpec {
             program: ProcessorProgram {
-                processor: 0,
-                program: unit0.program,
-                outgoing: vec![ChannelOut { channel: ship0, dest: 1, inbox: in1 }],
-                inboxes: vec![in0],
-                processing_rules: vec![0, 1],
-                pooling: vec![(t0, answer)],
+                processor,
+                program,
+                outgoing: vec![ChannelOut {
+                    channel: rel(&format!("ship{processor}")),
+                    dest: 1 - processor,
+                    inbox: rel(&format!("in{}", 1 - processor)),
+                }],
+                inboxes: vec![rel(&format!("in{processor}"))],
+                processing_rules,
+                pooling: vec![(rel(&format!("t{processor}")), answer)],
                 local_idb: vec![],
                 retract_channels: vec![],
             },
-            edb: Arc::new(db0),
+            edb: Arc::new(db),
             session: None,
         };
-        let spec1 = WorkerSpec {
-            program: ProcessorProgram {
-                processor: 1,
-                program: unit1.program,
-                outgoing: vec![ChannelOut { channel: ship1, dest: 0, inbox: in0 }],
-                inboxes: vec![in1],
-                processing_rules: vec![0],
-                pooling: vec![(t1, answer)],
-                local_idb: vec![],
-                retract_channels: vec![],
-            },
-            edb: Arc::new(Database::new(interner.clone())),
-            session: None,
-        };
-        // db1's edges: re-add (moved above into db1 before Arc).
-        let mut specs = vec![spec0, spec1];
-        specs[1].edb = Arc::new(db1);
+        let specs = vec![
+            spec(0, unit0.program, db0, vec![0, 1]),
+            spec(1, unit1.program, db1, vec![0]),
+        ];
         (specs, answer)
     }
 
+    /// Seeded and lockstep schedules alike compute the threaded model.
     #[test]
     fn sim_matches_threaded_semantics() {
         let (specs, answer) = ping_pong_specs();
         let threaded =
             crate::coordinator::execute_processors(specs.clone(), &RuntimeConfig::default())
                 .unwrap();
-        let sim = SimTransport::new(7)
-            .execute(specs, &RuntimeConfig::default())
-            .unwrap();
-        assert!(sim.relation(answer).set_eq(&threaded.relation(answer)));
-        assert!(!sim.relation(answer).is_empty());
-        assert_eq!(
-            sim.stats.total_tuples_sent(),
-            threaded.stats.total_tuples_sent(),
-            "delta shipping sends each tuple once in both transports"
-        );
+        for transport in [SimTransport::new(7), SimTransport::lockstep()] {
+            let sim = transport
+                .execute(specs.clone(), &RuntimeConfig::default())
+                .unwrap();
+            assert!(sim.relation(answer).set_eq(&threaded.relation(answer)));
+            assert!(!sim.relation(answer).is_empty());
+            assert_eq!(
+                sim.stats.total_tuples_sent(),
+                threaded.stats.total_tuples_sent(),
+                "delta shipping sends each tuple once in both transports"
+            );
+        }
+    }
+
+    fn profiled() -> RuntimeConfig {
+        let mut config = RuntimeConfig::default();
+        config.worker.profile = true;
+        config
+    }
+
+    #[test]
+    fn lockstep_is_deterministic() {
+        let (specs, _) = ping_pong_specs();
+        let (a, ta) = SimTransport::lockstep().run_traced(specs.clone(), &profiled());
+        let (b, tb) = SimTransport::lockstep().run_traced(specs, &profiled());
+        let (a, b) = (a.unwrap(), b.unwrap());
+        assert_eq!(ta, tb, "identical trace, event for event");
+        assert_eq!(a.stats.channel_matrix, b.stats.channel_matrix);
+        for (wa, wb) in a.stats.workers.iter().zip(&b.stats.workers) {
+            assert_eq!(wa.eval.firings, wb.eval.firings);
+        }
+        assert!(!a.journal.is_empty());
+        assert_eq!(a.journal, b.journal);
+    }
+
+    #[test]
+    fn lockstep_delivers_every_phase_before_the_next() {
+        let (specs, _) = ping_pong_specs();
+        let (outcome, trace) = SimTransport::lockstep().run_traced(specs, &profiled());
+        let outcome = outcome.unwrap();
+        for e in &trace.events {
+            match e {
+                TraceEvent::Step { time, .. } => assert_eq!(time % PHASE_TICKS, 0),
+                TraceEvent::Deliver { time, .. } => assert_eq!(time % PHASE_TICKS, 1),
+                other => panic!("lockstep runs no faults: {other:?}"),
+            }
+        }
+        // Every byte sent is received by someone.
+        let sent = outcome.stats.total_bytes_sent();
+        let received: u64 = outcome.stats.workers.iter().map(|w| w.received_bytes).sum();
+        assert_eq!(sent, received);
+        assert!(sent > 0);
+    }
+
+    #[test]
+    fn round_trace_folds_the_lockstep_journal() {
+        let (specs, _) = ping_pong_specs();
+        let outcome = SimTransport::lockstep().execute(specs, &profiled()).unwrap();
+        let trace = crate::simulate::RoundTrace::from_journal(&outcome.journal, 2);
+        assert_eq!(trace.total_firings(), outcome.stats.total_firings());
+        assert_eq!(trace.total_tuples(), outcome.stats.total_tuples_sent());
+        assert!(trace.total_tuples() > 0);
+    }
+
+    #[test]
+    fn lockstep_rejects_a_fault_plan() {
+        let (specs, _) = ping_pong_specs();
+        let mut sim = SimTransport::lockstep();
+        sim.faults = FaultPlan::jitter();
+        let err = sim.execute(specs, &RuntimeConfig::default()).unwrap_err();
+        assert!(err.to_string().contains("lockstep"), "{err}");
     }
 
     #[test]

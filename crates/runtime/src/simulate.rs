@@ -1,15 +1,15 @@
 //! Predicting wall-clock on hypothetical architectures.
 //!
 //! The paper's closing argument (§8) is that the right scheme depends on
-//! the machine: "computation cost as opposed to communication cost". Our
-//! container cannot *be* a shared-nothing cluster, so we do what the
-//! system prompt's substitution rule asks: simulate one.
+//! the machine: "computation cost as opposed to communication cost". One
+//! machine cannot *be* a shared-nothing cluster, so we simulate one.
 //!
-//! [`crate::sync::execute_synchronous_traced`] records a deterministic
-//! per-round trace — firings per processor and tuples/batches per channel
-//! — and [`simulate_bsp`] replays it under a parameterized
-//! [`MachineModel`]. The model is deliberately simple (bulk-synchronous
-//! rounds, full-bisection network):
+//! A profiled run of [`crate::sim::SimTransport::lockstep`] — the paper's
+//! phased loop on the real workers — folds into a deterministic per-phase
+//! trace ([`RoundTrace::from_journal`]): firings per processor and
+//! tuples/batches per channel. [`simulate_bsp`] replays it under a
+//! parameterized [`MachineModel`]. The model is deliberately simple
+//! (bulk-synchronous rounds, full-bisection network):
 //!
 //! ```text
 //! round time = max_i (firings_i · firing_us)                 (compute phase)
@@ -22,28 +22,60 @@
 //! architectures does Example 1 beat Example 3 beat Example 2, and at
 //! what processor count does adding workers stop paying.
 
-/// Per-round record of one synchronous execution.
+use crate::obs::{Journal, ObsKind};
+use crate::sim::PHASE_TICKS;
+
+/// Per-phase record of one lockstep execution.
 #[derive(Debug, Clone, Default)]
 pub struct RoundRecord {
-    /// Rule firings per processor during this round's compute phase.
+    /// Rule firings per processor during this phase.
     pub firings: Vec<u64>,
-    /// `sent_tuples[i][j]`: tuples shipped `i → j` this round.
+    /// `sent_tuples[i][j]`: tuples shipped `i → j` this phase.
     pub sent_tuples: Vec<Vec<u64>>,
-    /// `sent_batches[i][j]`: messages shipped `i → j` this round.
+    /// `sent_batches[i][j]`: messages shipped `i → j` this phase.
     pub sent_batches: Vec<Vec<u64>>,
 }
 
-/// The full trace: one record per synchronous round (bootstrap included
-/// as round 0).
+/// The full trace: one record per lockstep phase (the bootstrap falls in
+/// phase 0).
 #[derive(Debug, Clone, Default)]
 pub struct RoundTrace {
     /// Number of processors.
     pub processors: usize,
-    /// Round records in execution order.
+    /// Phase records in execution order.
     pub rounds: Vec<RoundRecord>,
 }
 
 impl RoundTrace {
+    /// Fold the journal of a profiled [`crate::sim::SimTransport::lockstep`]
+    /// run into one record per phase, up to the phase of the journal's
+    /// last event: firings from `Bootstrapped`/`RoundEnd`, tuples and
+    /// batches from `BatchSent`.
+    pub fn from_journal(journal: &Journal, processors: usize) -> RoundTrace {
+        let phases = journal.events.last().map_or(0, |e| e.time / PHASE_TICKS + 1);
+        let mut rounds: Vec<RoundRecord> = (0..phases)
+            .map(|_| RoundRecord {
+                firings: vec![0; processors],
+                sent_tuples: vec![vec![0; processors]; processors],
+                sent_batches: vec![vec![0; processors]; processors],
+            })
+            .collect();
+        for e in &journal.events {
+            let record = &mut rounds[(e.time / PHASE_TICKS) as usize];
+            match e.kind {
+                ObsKind::Bootstrapped { firings, .. } | ObsKind::RoundEnd { firings, .. } => {
+                    record.firings[e.worker] += firings;
+                }
+                ObsKind::BatchSent { to, tuples, .. } => {
+                    record.sent_tuples[e.worker][to] += tuples;
+                    record.sent_batches[e.worker][to] += 1;
+                }
+                _ => {}
+            }
+        }
+        RoundTrace { processors, rounds }
+    }
+
     /// Total firings across all rounds and processors.
     pub fn total_firings(&self) -> u64 {
         self.rounds

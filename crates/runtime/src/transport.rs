@@ -15,7 +15,7 @@
 //!   chosen by the OS;
 //! * [`crate::sim::SimTransport`] — all processors interleaved on the
 //!   calling thread under a virtual clock, schedule chosen by a seeded
-//!   PRNG, with optional fault injection. Same [`crate::worker::WorkerCore`],
+//!   PRNG, with optional fault injection. Same `WorkerCore`,
 //!   adversarial schedules, bit-for-bit reproducible.
 //!
 //! ## Supervision (crash recovery)

@@ -19,7 +19,7 @@
 //! round, never blocking for more.
 //!
 //! The worker is deliberately **re-entrant**: it owns no channel handles
-//! and no event loop. [`WorkerCore::step`] performs exactly one scheduling
+//! and no event loop. `WorkerCore::step` performs exactly one scheduling
 //! quantum — absorb pending envelopes, then either run one engine round or
 //! handle the termination token — and reports whether it worked, went
 //! idle, or terminated. How steps are driven is the transport's business:

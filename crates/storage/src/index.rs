@@ -48,7 +48,7 @@ pub struct HashIndex {
 }
 
 /// Hash a probe key given as a value slice. Must agree with
-/// [`hash_projection`] — both feed the raw values to the same hasher.
+/// `hash_projection` — both feed the raw values to the same hasher.
 pub fn hash_key(key: &[Value]) -> u64 {
     let mut h = FxHasher::default();
     for v in key {

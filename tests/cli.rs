@@ -914,11 +914,39 @@ fn net_usage_errors_are_clean() {
         (vec!["--scheme", "example3", "--net", "--sim"], "exclusive"),
         (vec!["--scheme", "seq", "--net"], "parallel scheme"),
         (vec!["--scheme", "example3", "--net-kill", "1@100"], "--net"),
+        (
+            vec!["--scheme", "example3", "--workers", "2", "--net", "--net-kill", "5@100"],
+            "nonexistent processor 5",
+        ),
+        (
+            vec!["--scheme", "example3", "--workers", "2", "--net", "--net-faults", "7:disconnect@10!"],
+            "nonexistent processor 7",
+        ),
         (vec!["--scheme", "seq", "--watchdog-ms", "100"], "parallel scheme"),
     ] {
         let out = pdatalog().args(["run"]).arg(&file).args(&args).output().unwrap();
         assert!(!out.status.success(), "{args:?} must be rejected");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(want), "{args:?}: {stderr}");
+    }
+}
+
+/// A fault-plan tick value past the simulator's bound is a clean error
+/// naming the key, not an overflow panic (debug) or wrapped virtual time
+/// (release).
+#[test]
+fn fault_plan_tick_overflow_is_a_clean_error() {
+    let file = write_program("fault_ticks.dl", &chain_program(5));
+    for key in ["max", "redeliver", "stall-ticks"] {
+        let plan = format!("none,{key}={}", u64::MAX);
+        let out = pdatalog()
+            .args(["run"])
+            .arg(&file)
+            .args(["--scheme", "example3", "--workers", "3", "--sim", "--faults", &plan])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{plan}: {stderr}");
+        assert!(stderr.contains(&format!("{key}={}", u64::MAX)), "{plan}: {stderr}");
     }
 }

@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use parallel_datalog::core::schemes::BaseDistribution;
 use parallel_datalog::prelude::*;
+use parallel_datalog::runtime::SimTransport;
 use parallel_datalog::workloads::{
     binary_tree, chain, cycle, grid, layered, linear_ancestor, nonlinear_ancestor,
     random_digraph, same_generation, same_generation_tree, star,
@@ -202,8 +203,8 @@ fn same_generation_parallel_is_correct() {
     assert!(outcome.relation(sg).len() >= 16 * 16);
 }
 
-/// The deterministic bulk-synchronous mode and the asynchronous runtime
-/// are interchangeable: same least model, same total tuple traffic, for
+/// The deterministic lockstep schedule (the paper's phased loop) and the
+/// asynchronous runtime are interchangeable: same least model, same total tuple traffic, for
 /// every scheme family.
 #[test]
 fn synchronous_mode_matches_asynchronous() {
@@ -218,7 +219,9 @@ fn synchronous_mode_matches_asynchronous() {
         example3_hash_partition(&sirup, 4, &db).unwrap(),
         example2_valduriez(&sirup, round_robin_fragment(&edges, 4).unwrap(), &db).unwrap(),
     ] {
-        let sync = scheme.run_synchronous().unwrap();
+        let sync = SimTransport::lockstep()
+            .execute(scheme.workers.clone(), &RuntimeConfig::default())
+            .unwrap();
         let asynchronous = scheme.run().unwrap();
         assert!(
             sync.relation(anc).set_eq(&asynchronous.relation(anc)),
@@ -240,7 +243,7 @@ fn synchronous_mode_matches_asynchronous() {
     }
 }
 
-/// Synchronous mode on the §7 general scheme (non-linear program).
+/// The lockstep schedule on the §7 general scheme (non-linear program).
 #[test]
 fn synchronous_mode_on_general_scheme() {
     let fx = nonlinear_ancestor();
@@ -258,7 +261,9 @@ fn synchronous_mode_on_general_scheme() {
     ];
     let scheme =
         rewrite_general(&fx.program, &choices, &db, BaseDistribution::Shared).unwrap();
-    let sync = scheme.run_synchronous().unwrap();
+    let sync = SimTransport::lockstep()
+        .execute(scheme.workers.clone(), &RuntimeConfig::default())
+        .unwrap();
     let seq = seminaive_eval(&fx.program, &db).unwrap();
     let anc = fx.output_id();
     assert!(sync.relation(anc).set_eq(&seq.relation(anc)));
