@@ -36,6 +36,19 @@ pub enum Error {
     Eval(String),
     /// Parallel runtime failure (worker panic, channel breakage).
     Runtime(String),
+    /// A processor program's rule heads an outgoing channel or the
+    /// processor's own inbox but is not a pure selection, so the runtime
+    /// cannot route it.
+    Route {
+        /// The processor whose program holds the rule.
+        processor: usize,
+        /// The rule's index in that program.
+        rule: usize,
+        /// The rule, pretty-printed.
+        text: String,
+        /// Why the rule is not a pure selection.
+        reason: String,
+    },
 }
 
 impl Error {
@@ -63,6 +76,15 @@ impl fmt::Display for Error {
             Error::Storage(m) => write!(f, "storage error: {m}"),
             Error::Eval(m) => write!(f, "evaluation error: {m}"),
             Error::Runtime(m) => write!(f, "runtime error: {m}"),
+            Error::Route {
+                processor,
+                rule,
+                text,
+                reason,
+            } => write!(
+                f,
+                "routing error: processor {processor} rule #{rule} `{text}`: {reason}"
+            ),
         }
     }
 }

@@ -43,6 +43,7 @@ pub mod message;
 pub mod net;
 pub mod obs;
 pub mod profile;
+pub(crate) mod router;
 pub mod sim;
 pub mod spec;
 pub mod simulate;

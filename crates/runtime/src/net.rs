@@ -952,6 +952,9 @@ struct Supervisor<'a> {
     incarnations: Vec<u64>,
     awaiting: Vec<Option<Instant>>,
     finished: Vec<Option<WorkerResult>>,
+    /// The `Recover` each linkless worker's next job frame carries: the
+    /// restarted worker's, and that of any worker not connected yet when
+    /// the epoch was bumped.
     pending_recover: Vec<Option<Envelope>>,
     /// Envelope frames relayed toward a worker that has no live link
     /// *right now* — not yet connected, or restarting. The threaded
@@ -1255,18 +1258,27 @@ impl Supervisor<'_> {
             ack: 0,
             message: Message::Recover { epoch: self.epoch, restarted: index },
         };
-        // Survivors repair now; the replacement repairs right after its
-        // job arrives (see `on_conn`).
+        // Survivors repair now. The replacement, and every worker whose
+        // link is not up yet, repairs right after its job arrives (see
+        // `on_conn`). A worker that had not connected before the crash
+        // still boots into the new epoch: without its own `Recover` it
+        // would drop its parked pre-crash traffic as stale and never send
+        // the `AckSync` that makes the senders replay it.
         let mut failed = Vec::new();
         for (peer, slot) in self.links.iter_mut().enumerate() {
-            if let Some(link) = slot {
-                let body = wire::encode_envelope(peer, &recover);
-                if wire::write_frame(&mut link.stream, wire::FRAME_ENVELOPE, &body).is_err() {
-                    failed.push(peer);
+            match slot {
+                Some(link) => {
+                    let body = wire::encode_envelope(peer, &recover);
+                    if wire::write_frame(&mut link.stream, wire::FRAME_ENVELOPE, &body).is_err() {
+                        failed.push(peer);
+                    }
                 }
+                None if self.finished[peer].is_none() => {
+                    self.pending_recover[peer] = Some(recover.clone());
+                }
+                None => {}
             }
         }
-        self.pending_recover[index] = Some(recover);
         let backoff = self.config.supervisor.restart_backoff * self.restarts_used[index];
         if !backoff.is_zero() {
             std::thread::sleep(backoff);
@@ -1579,6 +1591,80 @@ mod tests {
                 "{fault}: survivors replayed from their logs"
             );
         }
+    }
+
+    /// Starts worker 2's first incarnation late, after a delay, so the
+    /// fleet's first crash can happen before it ever connects.
+    struct LateLauncher {
+        delay: Duration,
+    }
+
+    impl Launcher for LateLauncher {
+        fn spawn_worker(&self, args: &NetWorkerArgs) -> Result<Box<dyn WorkerHandle>> {
+            let args = args.clone();
+            let delay = if args.index == 2 && args.incarnation == 0 {
+                self.delay
+            } else {
+                Duration::ZERO
+            };
+            std::thread::spawn(move || {
+                std::thread::sleep(delay);
+                let _ = run_net_worker(&args, None);
+            });
+            Ok(Box::new(ThreadHandle))
+        }
+    }
+
+    /// A worker that connects only after a peer's crash boots into the
+    /// new epoch. Its parked pre-crash traffic is stale there, so it must
+    /// still repair (its job carries `Recover`) and ask for the replay;
+    /// otherwise everything worker 0 shipped to it before the crash is
+    /// lost and termination is declared without it.
+    #[test]
+    fn worker_connecting_after_a_crash_gets_its_pre_crash_traffic_replayed() {
+        let interner = Interner::new();
+        let (mut specs, _) = chain_fleet(&interner, 12);
+        let ship2 = (interner.intern("ship2"), 2);
+        let in2 = (interner.intern("in2"), 2);
+        let copy = (interner.intern("copy"), 2);
+        let mut to_two = specs[0].program.program.rules[2].clone();
+        to_two.head.predicate = ship2.0;
+        specs[0].program.program.rules.push(to_two);
+        specs[0].program.outgoing.push(ChannelOut { channel: ship2, dest: 2, inbox: in2 });
+        let unit2 =
+            gst_frontend::parser::parse_program_with("copy(X,Y) :- in2(X,Y).", &interner).unwrap();
+        specs.push(WorkerSpec {
+            program: ProcessorProgram {
+                processor: 2,
+                program: unit2.program,
+                outgoing: vec![],
+                inboxes: vec![in2],
+                processing_rules: vec![0],
+                pooling: vec![(copy, copy)],
+                local_idb: vec![],
+                retract_channels: vec![],
+            },
+            edb: Arc::new(Database::new(interner.clone())),
+            session: None,
+        });
+        let config = RuntimeConfig::default();
+        let baseline = ThreadedTransport.execute(specs.clone(), &config).unwrap();
+        assert!(!baseline.relation(copy).is_empty());
+        let net = NetConfig { connect_timeout: Duration::from_secs(5), ..NetConfig::default() };
+        let outcome = NetCoordinator::new(
+            Arc::new(LateLauncher { delay: Duration::from_millis(300) }),
+            net,
+        )
+        .with_faults(NetFaultPlan::parse("1:disconnect@150").unwrap())
+        .execute(specs, &config)
+        .unwrap();
+        assert_eq!(outcome.stats.restarts, 1, "worker 1 died before worker 2 connected");
+        assert!(
+            outcome.relation(copy).set_eq(&baseline.relation(copy)),
+            "worker 2 holds {} of {} shipped tuples",
+            outcome.relation(copy).len(),
+            baseline.relation(copy).len()
+        );
     }
 
     /// A persistent fault kills every incarnation: the restart budget

@@ -86,11 +86,11 @@ pub enum ObsKind {
         /// Its compute cost (µs, or firings under virtual time).
         cost: u64,
     },
-    /// A channel relation's round delta was encoded for the wire — once
+    /// What one round routed to a channel was encoded for the wire — once
     /// per channel, however many destinations share the payload `Arc`
     /// (single-encode multicast).
     BatchEncoded {
-        /// The channel relation's predicate symbol (raw interner id).
+        /// The channel predicate's symbol (raw interner id).
         channel: u32,
         /// Tuples in the batch.
         tuples: u64,

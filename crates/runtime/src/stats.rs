@@ -36,7 +36,7 @@ pub struct WorkerReport {
     /// Wire bytes received.
     pub received_bytes: u64,
     /// Distinct `encode_batch` calls on the ship path — one per
-    /// (fixpoint, channel relation), however many destinations the
+    /// (round, channel), however many destinations the
     /// payload was multicast to.
     pub encode_calls: u64,
     /// Bytes those encodes produced. Each multicast payload is counted

@@ -45,6 +45,7 @@ use gst_storage::Relation;
 use crate::coordinator::RuntimeConfig;
 use crate::message::{Envelope, Message};
 use crate::obs::{Journal, ObsEvent, ObsKind, Probe, TimeBase};
+use crate::router::Router;
 use crate::spec::WorkerSpec;
 use crate::stats::{ExecutionOutcome, ParallelStats, WorkerReport};
 use crate::worker::{finish_core, watchdog_error, Outbox, PooledRelations, Step, WorkerCore};
@@ -60,7 +61,8 @@ pub trait Transport {
 }
 
 /// Shared spec validation: positions match processor ids, channel
-/// destinations exist.
+/// destinations exist, and every channel- or inbox-headed rule is a pure
+/// selection the router can take ([`Error::Route`] otherwise).
 pub(crate) fn validate_specs(specs: &[WorkerSpec]) -> Result<()> {
     if specs.is_empty() {
         return Err(Error::Runtime("no processors to execute".into()));
@@ -80,6 +82,7 @@ pub(crate) fn validate_specs(specs: &[WorkerSpec]) -> Result<()> {
                 )));
             }
         }
+        Router::new(&spec.program)?;
     }
     Ok(())
 }
@@ -166,36 +169,25 @@ pub(crate) fn network_is_silent(specs: &[WorkerSpec]) -> bool {
 /// no queues, no codec, no replay logs, no termination ring. Sound exactly
 /// when the network is silent: with nothing to receive and nothing to
 /// ship, local quiescence *is* the paper's termination condition, observed
-/// directly. Self-loopback channels are folded in between inner fixpoints.
+/// directly. Self-loopback channels feed their inboxes every round.
 fn run_local(spec: &WorkerSpec, n: usize, config: &RuntimeConfig) -> Result<WorkerResult> {
     let t0 = Instant::now();
     // The shared construction path applies any update-session seed, so
     // the N=1 fast path maintains exactly the state a distributed run
     // would.
-    let mut engine = spec.build_engine()?;
+    let (mut engine, mut router) = spec.build()?;
     engine.set_morsels(gst_eval::MorselConfig::with_threads(config.worker.morsel_threads));
     engine.bootstrap()?;
-    let mut ship_from = vec![0usize; spec.program.outgoing.len()];
-    loop {
-        while engine.advance() > 0 {
-            engine.process_round();
-        }
-        // Local loopbacks (t_ii) re-activate the engine; repeat until the
-        // backlog stays empty.
-        let mut looped = false;
-        for (k, out) in spec.program.outgoing.iter().enumerate() {
-            debug_assert_eq!(out.dest, spec.program.processor, "network must be silent");
-            let from_row = ship_from[k];
-            let backlog = engine.rows_from(out.channel, from_row).len();
-            if backlog > 0 {
-                ship_from[k] = from_row + backlog;
-                engine.loopback_from(out.channel, out.inbox, from_row)?;
-                looped = true;
+    while engine.advance() > 0 {
+        router.route(&mut engine)?;
+        for k in 0..router.channels().len() {
+            let tuples = router.take_channel(k);
+            for &(dest, inbox) in &router.channels()[k].dests {
+                debug_assert_eq!(dest, spec.program.processor, "network must be silent");
+                engine.inject(inbox, tuples.iter().cloned())?;
             }
         }
-        if !looped {
-            break;
-        }
+        engine.process_round();
     }
     let pooled: PooledRelations = if config.worker.pool_results {
         spec.program

@@ -11,12 +11,14 @@
 //! until "termination"
 //! ```
 //!
-//! Initialization/processing/sending rules run inside the local
-//! [`FixpointEngine`]; the *receiving* rules are realized by injecting
-//! arriving batches into the inbox predicates; and the asynchrony the
-//! paper insists on ("processor i does not wait for data from processor
-//! j") falls out of absorbing whatever has arrived before each engine
-//! round, never blocking for more.
+//! Initialization and processing rules run inside the local
+//! [`FixpointEngine`]; the *sending* rules are evaluated by the worker's
+//! router over each round's fresh delta and shipped in the same step; the
+//! *receiving* rules are realized by injecting arriving batches into the
+//! inbox predicates; and the asynchrony the paper insists on ("processor
+//! i does not wait for data from processor j") falls out of absorbing
+//! whatever has arrived before each engine round, never blocking for
+//! more.
 //!
 //! The worker is deliberately **re-entrant**: it owns no channel handles
 //! and no event loop. `WorkerCore::step` performs exactly one scheduling
@@ -38,6 +40,7 @@ use gst_eval::FixpointEngine;
 use crate::message::{Envelope, Message, Payload};
 use crate::obs::{ObsEvent, ObsKind, Probe};
 use crate::profile::WorkerProfile;
+use crate::router::Router;
 use crate::spec::WorkerSpec;
 use crate::stats::WorkerReport;
 use crate::termination::{Safra, TokenAction, TokenMsg};
@@ -224,14 +227,12 @@ pub(crate) struct WorkerCore {
     seen_above: Vec<FxHashSet<u64>>,
     /// Sender-side replay log per destination link.
     replay: Vec<ReplayLog>,
-    /// Outgoing channels grouped by channel relation. Deltas accumulate
-    /// across rounds and go out as one batch per channel at the local
-    /// fixpoint — the arena's insertion order makes the backlog a
-    /// borrowable suffix, and coarse batches keep the envelope count (and
-    /// the scheduler churn it causes) proportional to fixpoints, not
-    /// rounds. A channel feeding several destinations (the broadcast
-    /// scheme) is encoded once and the payload `Arc` shared.
-    ship_groups: Vec<ShipGroup>,
+    /// The sending and local receive rules, evaluated over each round's
+    /// fresh delta. What a round routes to a channel goes out in the same
+    /// step as one batch per channel; a channel feeding several
+    /// destinations (the broadcast scheme) is encoded once and the
+    /// payload `Arc` shared.
+    router: Router,
     /// Batches accepted since the last drain, grouped per inbox (same
     /// order as `spec.program.inboxes`): the decode-and-inject pass runs
     /// once per inbox per step however many batches arrived, so a worker
@@ -271,16 +272,6 @@ pub(crate) struct WorkerCore {
     was_idle: bool,
 }
 
-/// One send group: a channel relation with every destination it feeds and
-/// the arena watermark of rows already shipped (or looped back).
-struct ShipGroup {
-    channel: RelationId,
-    /// Rows of the channel relation below this index are already out.
-    from_row: usize,
-    /// `(dest, inbox)` pairs in spec order.
-    dests: Vec<(usize, RelationId)>,
-}
-
 impl WorkerCore {
     pub(crate) fn new(spec: WorkerSpec, n: usize) -> Result<Self> {
         WorkerCore::with_epoch(spec, n, 0)
@@ -290,23 +281,12 @@ impl WorkerCore {
     /// to rebuild a crashed processor from its retained spec.
     pub(crate) fn with_epoch(spec: WorkerSpec, n: usize, epoch: u64) -> Result<Self> {
         let id = spec.program.processor;
-        let mut ship_groups: Vec<ShipGroup> = Vec::new();
-        for ch in &spec.program.outgoing {
-            match ship_groups.iter_mut().find(|g| g.channel == ch.channel) {
-                Some(g) => g.dests.push((ch.dest, ch.inbox)),
-                None => ship_groups.push(ShipGroup {
-                    channel: ch.channel,
-                    from_row: 0,
-                    dests: vec![(ch.dest, ch.inbox)],
-                }),
-            }
-        }
         let stash = vec![Vec::new(); spec.program.inboxes.len()];
         // One construction path for cold starts and crash restarts: the
         // spec (including any update-session seed) fully determines the
         // engine's starting state, which is what makes epoch recovery
         // mid-update-round exact.
-        let engine = spec.build_engine()?;
+        let (engine, router) = spec.build()?;
         Ok(WorkerCore {
             id,
             n,
@@ -324,7 +304,7 @@ impl WorkerCore {
             recv_floor: vec![0; n],
             seen_above: vec![FxHashSet::default(); n],
             replay: (0..n).map(|_| ReplayLog::default()).collect(),
-            ship_groups,
+            router,
             stash,
             stash_count: 0,
             sent_tuples_to: vec![0; n],
@@ -459,7 +439,9 @@ impl WorkerCore {
             p.emit(ObsKind::Decoded { round, tuples, cost });
         }
 
-        // Processing step: one engine round.
+        // One round: route the fresh delta and ship it (the sending
+        // step, every round, before the processing step so peers work on
+        // it meanwhile), then fire the processing rules.
         let fresh = self.engine.advance();
         if fresh > 0 {
             // `advance` already closed the round in the stats, so the
@@ -470,20 +452,21 @@ impl WorkerCore {
                 p.emit(ObsKind::RoundBegin { round });
                 p.now()
             });
+            self.router.route(&mut self.engine)?;
+            // Encoding is its own phase: keep it out of the round's
+            // compute cost (`cost(_, 0)` is wall time, or 0 when virtual).
+            let t_ship = self.probe.as_ref().map(|p| p.now());
+            self.ship(round, out)?;
+            let ship_cost = match (self.probe.as_ref(), t_ship) {
+                (Some(p), Some(t)) => p.cost(t, 0),
+                _ => 0,
+            };
             self.engine.process_round();
             if let (Some(p), Some(t0)) = (self.probe.as_mut(), t0) {
                 let firings = self.engine.stats().firings - firings_before;
-                let cost = p.cost(t0, firings);
+                let cost = p.cost(t0, firings).saturating_sub(ship_cost);
                 p.emit(ObsKind::RoundEnd { round, fresh, firings, cost });
             }
-            return Ok(Step::Worked);
-        }
-
-        // Sending step, deferred to the local fixpoint: ship each
-        // channel's accumulated backlog as a single batch. A loopback
-        // re-activates the engine, so report `Worked` and let the next
-        // step pick the fixpoint back up.
-        if self.ship_channel_deltas(out)? {
             return Ok(Step::Worked);
         }
         debug_assert!(self.engine.quiescent());
@@ -780,32 +763,27 @@ impl WorkerCore {
         }
     }
 
-    /// Ship every channel predicate's fresh delta (paper: sending step).
+    /// Ship what the round routed to each channel (paper: sending step).
     ///
-    /// The delta is a borrowed arena suffix encoded straight onto the
-    /// wire — no intermediate tuple vector; the only retained copy is the
-    /// payload the replay log needs anyway. A channel feeding several
-    /// remote destinations (the broadcast scheme's shared head predicate)
-    /// is encoded exactly once and every destination's envelope clones
-    /// the payload `Arc` — single-encode multicast.
-    fn ship_channel_deltas(&mut self, out: &mut dyn Outbox) -> Result<bool> {
-        let mut shipped = false;
-        for k in 0..self.ship_groups.len() {
-            let (channel, from_row) =
-                (self.ship_groups[k].channel, self.ship_groups[k].from_row);
-            let count = self.engine.rows_from(channel, from_row).len();
-            if count == 0 {
+    /// A channel's batch is encoded once and every remote destination's
+    /// envelope clones the payload `Arc` — single-encode multicast; the
+    /// only retained copy is the payload the replay log needs anyway. A
+    /// destination that is this processor (`t_ii`) takes the rows into
+    /// its inbox's pending pool, with no wire format and no counters.
+    fn ship(&mut self, round: u64, out: &mut dyn Outbox) -> Result<()> {
+        for k in 0..self.router.channels().len() {
+            let tuples = self.router.take_channel(k);
+            if tuples.is_empty() {
                 continue;
             }
-            self.ship_groups[k].from_row = from_row + count;
-            shipped = true;
-            let payload = if self.ship_groups[k].dests.iter().any(|(d, _)| *d != self.id) {
+            let count = tuples.len() as u64;
+            let channel = &self.router.channels()[k];
+            let (relation, retract) = (channel.relation, channel.retract);
+            let dests = channel.dests.clone();
+            let payload = if dests.iter().any(|(d, _)| *d != self.id) {
                 let t0 = self.probe.as_ref().map(|p| p.now());
-                let payload = {
-                    let tuples = self.engine.rows_from(channel, from_row);
-                    crate::codec::encode_batch(channel.1, tuples)?
-                };
-                let raw_bytes = crate::codec::row_format_bytes(channel.1, count);
+                let payload = crate::codec::encode_batch(relation.1, &tuples)?;
+                let raw_bytes = crate::codec::row_format_bytes(relation.1, tuples.len());
                 self.encode_calls += 1;
                 self.encoded_bytes += payload.len() as u64;
                 self.encoded_raw_bytes += raw_bytes;
@@ -813,11 +791,11 @@ impl WorkerCore {
                     let bytes = payload.len() as u64;
                     let cost = p.cost(t0, bytes);
                     p.emit(ObsKind::BatchEncoded {
-                        channel: channel.0 .0,
-                        tuples: count as u64,
+                        channel: relation.0 .0,
+                        tuples: count,
                         bytes,
                         raw_bytes,
-                        round: self.engine.stats().rounds,
+                        round,
                         cost,
                     });
                 }
@@ -825,30 +803,28 @@ impl WorkerCore {
             } else {
                 None
             };
-            // Delete-marked channel: the batch carries DRed retractions.
-            // Routing, replay, and Safra accounting are identical — only
-            // the envelope flag and traffic attribution differ.
-            let retract = self.spec.program.retract_channels.contains(&channel);
-            let dests = self.ship_groups[k].dests.clone();
             for (dest, inbox) in dests {
                 if dest == self.id {
-                    // Local loopback (t_ii): no network, no counters.
-                    self.engine.loopback_from(channel, inbox, from_row)?;
+                    self.engine.inject(inbox, tuples.iter().cloned())?;
                     continue;
                 }
                 let payload = payload.clone().expect("remote dest implies an encode");
+                // Delete-marked channel: the batch carries DRed
+                // retractions. Routing, replay, and Safra accounting are
+                // identical — only the envelope flag and traffic
+                // attribution differ.
                 if retract {
-                    self.retract_tuples_sent += count as u64;
+                    self.retract_tuples_sent += count;
                 }
-                self.sent_tuples_to[dest] += count as u64;
+                self.sent_tuples_to[dest] += count;
                 self.sent_bytes_to[dest] += payload.len() as u64;
                 self.sent_messages += 1;
-                self.record_round_send(count as u64);
+                self.record_round_send(round, count);
                 self.safra.on_send();
                 let seq = self.next_batch_seq(dest);
                 self.emit(ObsKind::BatchSent {
                     to: dest,
-                    tuples: count as u64,
+                    tuples: count,
                     bytes: payload.len() as u64,
                     seq,
                 });
@@ -869,14 +845,13 @@ impl WorkerCore {
                 )?;
             }
         }
-        Ok(shipped)
+        Ok(())
     }
 
     /// Attribute `tuples` shipped tuples to the engine round that derived
     /// them (sparse per-round series; merged into the open entry when the
     /// round ships on several channels).
-    fn record_round_send(&mut self, tuples: u64) {
-        let round = self.engine.stats().rounds;
+    fn record_round_send(&mut self, round: u64, tuples: u64) {
         match self.sent_per_round.last_mut() {
             Some((r, total)) if *r == round => *total += tuples,
             _ => self.sent_per_round.push((round, tuples)),
@@ -1248,7 +1223,11 @@ pub(crate) mod tests {
     fn piggybacked_acks_drain_the_replay_tail() {
         let interner = Interner::new();
         let unit =
-            gst_frontend::parser::parse_program_with("send(X) :- src(X).", &interner).unwrap();
+            gst_frontend::parser::parse_program_with(
+                "out(X) :- src(X).\nsend(X) :- out(X).",
+                &interner,
+            )
+            .unwrap();
         let src = (interner.intern("src"), 1);
         let send = (interner.get("send").unwrap(), 1);
         let inbox = (interner.intern("inbox"), 1);
@@ -1303,7 +1282,11 @@ pub(crate) mod tests {
     fn acked_prefix_is_not_replayed_after_epoch_bump() {
         let interner = Interner::new();
         let unit =
-            gst_frontend::parser::parse_program_with("send(X) :- src(X).", &interner).unwrap();
+            gst_frontend::parser::parse_program_with(
+                "out(X) :- src(X).\nsend(X) :- out(X).",
+                &interner,
+            )
+            .unwrap();
         let src = (interner.intern("src"), 1);
         let send = (interner.get("send").unwrap(), 1);
         let inbox = (interner.intern("inbox"), 1);
@@ -1401,14 +1384,18 @@ pub(crate) mod tests {
     }
 
     /// A channel feeding several destinations (the broadcast scheme's
-    /// shared head predicate) is encoded exactly once per fixpoint: every
+    /// shared head predicate) is encoded exactly once per round: every
     /// destination's envelope shares the same payload `Arc`, and the
     /// journal records one `encode` event for the two `send`s.
     #[test]
     fn broadcast_channel_is_encoded_once_and_shared() {
         let interner = Interner::new();
         let unit =
-            gst_frontend::parser::parse_program_with("send(X) :- src(X).", &interner).unwrap();
+            gst_frontend::parser::parse_program_with(
+                "out(X) :- src(X).\nsend(X) :- out(X).",
+                &interner,
+            )
+            .unwrap();
         let src = (interner.intern("src"), 1);
         let send = (interner.get("send").unwrap(), 1);
         let inbox = (interner.intern("inbox"), 1);
@@ -1460,7 +1447,7 @@ pub(crate) mod tests {
             .iter()
             .filter(|e| matches!(e.kind, ObsKind::BatchSent { .. }))
             .count();
-        assert_eq!(encodes, 1, "one encode per (fixpoint, channel relation)");
+        assert_eq!(encodes, 1, "one encode per (round, channel)");
         assert_eq!(sends, 2, "but one send per destination");
     }
 

@@ -522,7 +522,7 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             .map_err(|e| e.to_string())?;
             let rels = print_ids
                 .iter()
-                .map(|(label, id)| (label.clone(), result.relation(*id)))
+                .map(|(label, id)| (label.clone(), with_facts(&db, *id, result.relation(*id))))
                 .collect();
             let mut line = format!(
                 "rounds={} firings={} derived={} duplicates={}",
@@ -630,7 +630,9 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
                 };
                 let rels = print_ids
                     .iter()
-                    .map(|(label, id)| (label.clone(), session.answer(*id)))
+                    .map(|(label, id)| {
+                        (label.clone(), with_facts(session.edb(), *id, session.answer(*id)))
+                    })
                     .collect();
                 return finish_run(
                     rels,
@@ -786,7 +788,7 @@ fn cmd_run(args: Vec<String>) -> std::result::Result<(), String> {
             };
             let rels = print_ids
                 .iter()
-                .map(|(label, id)| (label.clone(), outcome.relation(*id)))
+                .map(|(label, id)| (label.clone(), with_facts(&db, *id, outcome.relation(*id))))
                 .collect();
             let tables = if show_stats {
                 format!(
@@ -888,6 +890,18 @@ fn cmd_net_worker(args: Vec<String>) -> std::result::Result<(), String> {
         Some(parallel_datalog::core::prelude::decode_constraint),
     )
     .map_err(|e| e.to_string())
+}
+
+/// What `cmd_run` prints for predicate `id`: its derived tuples plus the
+/// facts the input states for it. Stated facts are part of the least
+/// model, so a base predicate prints them too.
+fn with_facts(edb: &Database, id: (gst_common::SymbolId, usize), mut rel: Relation) -> Relation {
+    if let Some(facts) = edb.relation(id) {
+        for t in facts.iter() {
+            rel.insert_unchecked(t.clone());
+        }
+    }
+    rel
 }
 
 /// Shared tail of `cmd_run`: print the relations and the stats footer.

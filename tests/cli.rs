@@ -67,6 +67,39 @@ fn run_with_print_filter_and_stats() {
     assert!(stderr.contains("processing_firings="), "{stderr}");
 }
 
+/// Facts stated for a base predicate are part of the least model:
+/// `--print` on one lists them, sequentially, on a parallel scheme and in
+/// an update session (where the printed facts are the updated ones).
+#[test]
+fn print_of_a_base_predicate_lists_its_facts() {
+    let file = write_program("print_base.dl", ANCESTOR);
+    for scheme in ["seq", "example3"] {
+        let out = pdatalog()
+            .args(["run"])
+            .arg(&file)
+            .args(["--print", "par/2", "--scheme", scheme, "--workers", "2"])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert_eq!(
+            stdout, "% par/2: 3 tuples\npar(1, 2).\npar(2, 3).\npar(3, 4).\n",
+            "scheme {scheme}"
+        );
+    }
+    let ups = write_program("print_base.stream", "-par(2,3).\n+par(3,5).\n");
+    let out = pdatalog()
+        .args(["run"])
+        .arg(&file)
+        .args(["--print", "par/2", "--scheme", "general", "--workers", "2", "--updates"])
+        .arg(&ups)
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(stdout, "% par/2: 3 tuples\npar(1, 2).\npar(3, 4).\npar(3, 5).\n");
+}
+
 #[test]
 fn analyze_reports_sirup_and_theorem3() {
     let file = write_program("analyze.dl", ANCESTOR);
