@@ -6,10 +6,9 @@
 //! shards (`t@out^i`, the pooled head predicates), its inbox replicas
 //! (`t@in^i` — joinable copies of remote derivations, which must be
 //! maintained exactly like the shards), and its replica of every
-//! updatable base predicate. Channels are *not* maintained: they are
-//! transient per-round transport predicates, re-derived empty at the
-//! start of every phase, which is what keeps the runtime's ship
-//! watermarks (`from_row = 0`) correct without any plumbing.
+//! updatable base predicate. Channels are *not* maintained: the runtime
+//! stores no channel relation, and its router ships only each round's
+//! fresh rows, so a preseeded shard (empty delta) is never shipped again.
 //!
 //! Each update round applies one [`UpdateBatch`] in two phases:
 //!
